@@ -1245,13 +1245,12 @@ let bench_store () =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   (* Ingest throughput: stream the run into segments, no reduction. The
-     native row is the headline — arenas are pre-built outside the timer,
-     the shape in which a live probe/collector feed already arrives — and
-     the record-path row keeps the text-era cost visible for comparison. *)
+     arenas are pre-built outside the timer — the shape in which a live
+     probe/collector feed already arrives. *)
   let arenas = Trace.Arena.of_collection collection in
-  (* Best of five passes per path: the first pass pays cold caches and
-     allocator growth the steady-state ingest path never sees again, and
-     the host's scheduling jitter swamps a single pass. *)
+  (* Best of five passes: the first pass pays cold caches and allocator
+     growth the steady-state ingest path never sees again, and the host's
+     scheduling jitter swamps a single pass. *)
   let ingest_with label feed =
     let stats = ref None and secs = ref infinity in
     for _ = 1 to 5 do
@@ -1271,12 +1270,7 @@ let bench_store () =
     done;
     (label, Option.get !stats, !secs)
   in
-  let runs =
-    [
-      ingest_with "records (legacy)" (fun w -> Store.Writer.ingest w collection);
-      ingest_with "native arenas" (fun w -> Store.Writer.ingest_native w arenas);
-    ]
-  in
+  let runs = [ ingest_with "native arenas" (fun w -> Store.Writer.ingest_native w arenas) ] in
   let t_ingest =
     Report.table ~title:"ext-9a: store ingest throughput (no reduction, best of 5 passes)"
       ~columns:[ "path"; "records"; "segments"; "bytes"; "seconds"; "records/s"; "MB/s" ]
@@ -1299,14 +1293,12 @@ let bench_store () =
         ])
     runs;
   Report.print t_ingest;
-  let _, wstats, _ = List.nth runs 1 in
+  let _, wstats, _ = List.hd runs in
   let native_per_s, native_mb_per_s = Hashtbl.find per_s "native arenas" in
-  let legacy_per_s, _ = Hashtbl.find per_s "records (legacy)" in
   record_int ~figure:"store" "ingest_records" wstats.Store.Writer.records_in;
   record_int ~figure:"store" "ingest_segments" wstats.Store.Writer.segments;
   record_float ~figure:"store" "ingest_records_per_s" native_per_s;
   record_float ~figure:"store" "ingest_mb_per_s" native_mb_per_s;
-  record_float ~figure:"store" "ingest_legacy_records_per_s" legacy_per_s;
   (* Query latency: whole store vs a narrow window the manifest can prune. *)
   let manifest =
     match Store.Manifest.load ~dir with Ok m -> m | Error e -> failwith e
@@ -1325,7 +1317,7 @@ let bench_store () =
       ()
   in
   let query p =
-    match Store.Query.run ~dir p with Ok r -> r | Error e -> failwith e
+    match Store.Query.run_native ~dir p with Ok r -> r | Error e -> failwith e
   in
   let _, full_stats = query Store.Query.all in
   let _, narrow_stats = query narrow in
@@ -1365,10 +1357,10 @@ let bench_store () =
       in
       let t0 = Unix.gettimeofday () in
       let reduced, rstats =
-        Store.Reduce.apply ~correlate:correlate_cfg ~policy collection
+        Store.Reduce.apply ~correlate:correlate_cfg ~policy arenas
       in
       let reduce_s = Unix.gettimeofday () -. t0 in
-      let result = Correlator.correlate correlate_cfg reduced in
+      let result = Correlator.correlate_arena correlate_cfg reduced in
       let top = top_names 3 (Pattern.classify result.Correlator.cags) in
       let fidelity =
         List.length top = List.length baseline_top
@@ -1604,12 +1596,10 @@ let bench_bundle () =
   let control = run control_spec in
   let config = Correlator.config ~transform:control.S.transform () in
   let pack name spec =
-    let outcome = run spec in
+    let arenas = Trace.Arena.of_collection (run spec).S.logs in
     let path = Filename.concat dir (name ^ ".ptz") in
     let t0 = Unix.gettimeofday () in
-    match
-      Bundle.Pack.pack ~roll_records:4096 ~config
-        ~source:(`Logs outcome.S.logs) ~path ()
+    match Bundle.Pack.pack ~roll_records:4096 ~config ~source:(`Logs arenas) ~path ()
     with
     | Error e -> failwith e
     | Ok summary -> (path, summary, Unix.gettimeofday () -. t0)

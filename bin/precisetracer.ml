@@ -143,12 +143,11 @@ let policy_conv =
 
 (* Load traces from DIR, whatever their format: a segmented store (has a
    MANIFEST.json), binary PTB1 files (recognised by magic, any filename)
-   and/or per-node *.trace text files — mixed contents are merged. *)
+   and/or per-node *.trace text files — mixed contents are merged into
+   one time-sorted arena per host. *)
 let load_traces ?jobs dir =
   if Store.Manifest.exists ~dir then
-    match Store.Query.run ?jobs ~dir Store.Query.all with
-    | Ok (logs, _) -> Ok logs
-    | Error e -> Error e
+    Result.map fst (Store.Query.run_native ?jobs ~dir Store.Query.all)
   else
     match Sys.readdir dir with
     | exception Sys_error e -> Error e
@@ -162,7 +161,10 @@ let load_traces ?jobs dir =
         let rec load_bins acc = function
           | [] -> Ok (List.rev acc)
           | f :: rest -> (
-              match Trace.Binary_format.load ~path:(Filename.concat dir f) with
+              let data =
+                In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+              in
+              match Trace.Binary_format.decode_native data with
               | Ok c -> load_bins (c :: acc) rest
               | Error e -> Error (Printf.sprintf "%s: %s" f e))
         in
@@ -174,7 +176,9 @@ let load_traces ?jobs dir =
             in
             let texts =
               if has_text then
-                match Trace.Log.load ~dir with Ok c -> Ok [ c ] | Error e -> Error e
+                match Trace.Log.load ~dir with
+                | Ok c -> Ok [ Trace.Arena.of_collection c ]
+                | Error e -> Error e
               else Ok []
             in
             match texts with
@@ -187,7 +191,20 @@ let load_traces ?jobs dir =
                          "no traces in %s (expected a store MANIFEST.json, PTB1 files or \
                           *.trace files)"
                          dir)
-                | collections -> Ok (Store.Query.merge collections))))
+                | batches -> Ok (Store.Query.merge_native batches))))
+
+let save_arenas arenas ~dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin (Filename.concat dir "traces.ptb") (fun oc ->
+      output_string oc (Trace.Binary_format.encode_native arenas));
+  Format.printf "written to %s/traces.ptb@." dir
+
+let print_hosts arenas =
+  List.iter
+    (fun arena ->
+      Format.printf "  %-10s %d activities@." (Trace.Arena.hostname arena)
+        (Trace.Arena.length arena))
+    arenas
 
 (* ---- telemetry self-profile ---- *)
 
@@ -647,7 +664,7 @@ let simulate_cmd =
           Store.Writer.create ~policy:store_policy ~correlate
             ~roll_records:segment_records ~dir ()
         in
-        Store.Writer.ingest writer outcome.S.logs;
+        Store.Writer.ingest_native writer (Trace.Arena.of_collection outcome.S.logs);
         let stats = Store.Writer.close writer in
         Trace.Ground_truth.save outcome.S.ground_truth
           ~path:(Filename.concat dir "ground_truth.txt");
@@ -657,7 +674,7 @@ let simulate_cmd =
       (fun path ->
         let config = Core.Correlator.config ~transform:outcome.S.transform () in
         pack_bundle ~scenario:(scenario_json spec) ~config
-          ~source:(`Logs outcome.S.logs) path)
+          ~source:(`Logs (Trace.Arena.of_collection outcome.S.logs)) path)
       bundle_out;
     write_telemetry tfile tformat
     end
@@ -677,15 +694,16 @@ let transform_of_entry entry =
     ~drop_programs:[ "rlogin"; "rlogind"; "ssh"; "sshd"; "mysql" ]
     ()
 
-let correlate_logs ?jobs ~window ~entry logs =
-  Core.Shard.correlate ?jobs
+let correlate_logs ?jobs ~window ~entry arenas =
+  Core.Shard.correlate_arena ?jobs
     (Core.Correlator.config ~transform:(transform_of_entry entry) ~window ())
-    logs
+    arenas
 
 (* Replay saved logs through the online pipeline: merge them into one
    arrival-ordered feed and observe record by record, as a live collector
    would. *)
-let correlate_online ~window ~entry ?straggler_timeout ?max_buffered logs =
+let correlate_online ~window ~entry ?straggler_timeout ?max_buffered arenas =
+  let logs = Trace.Arena.to_collection arenas in
   let config = Core.Correlator.config ~transform:(transform_of_entry entry) ~window () in
   let hosts = List.map Trace.Log.hostname logs in
   let live = ref 0 in
@@ -823,7 +841,7 @@ let correlate_cmd =
     match load_traces ~jobs dir with
     | Error e -> `Error (false, e)
     | Ok logs ->
-        Format.printf "loaded %d activities from %d nodes@." (Trace.Log.total logs)
+        Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total logs)
           (List.length logs);
         let window = window_of window_ms in
         let cags =
@@ -901,7 +919,7 @@ let evaluate_cmd =
         match load_traces ~jobs dir with
         | Error e -> `Error (false, e)
         | Ok logs -> (
-            Format.printf "loaded %d activities from %d nodes@." (Trace.Log.total logs)
+            Format.printf "loaded %d activities from %d nodes@." (Trace.Arena.total logs)
               (List.length logs);
             let result = correlate_logs ~jobs ~window:(window_of window_ms) ~entry logs in
             print_correlation result;
@@ -1219,7 +1237,7 @@ let store_ingest_cmd =
         let writer =
           Store.Writer.create ~policy ~correlate ~roll_records:segment_records ~dir:dest ()
         in
-        Store.Writer.ingest writer logs;
+        Store.Writer.ingest_native writer logs;
         let stats = Store.Writer.close writer in
         let gt_src = Filename.concat src "ground_truth.txt" in
         if Sys.file_exists gt_src && not (String.equal src dest) then begin
@@ -1278,21 +1296,14 @@ let store_query_cmd =
           ~doc:"Write the matching activities to $(docv)/traces.ptb (binary).")
   in
   let run dir since_ms until_ms hosts jobs out tfile tformat =
-    match Store.Query.run ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts) with
+    match
+      Store.Query.run_native ~jobs:(jobs_of jobs) ~dir (predicate_of since_ms until_ms hosts)
+    with
     | Error e -> `Error (false, e)
-    | Ok (logs, stats) ->
+    | Ok (arenas, stats) ->
         Format.printf "%a@." Store.Query.pp_stats stats;
-        List.iter
-          (fun log ->
-            Format.printf "  %-10s %d activities@." (Trace.Log.hostname log)
-              (Trace.Log.length log))
-          logs;
-        (match out with
-        | Some odir ->
-            if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-            Trace.Binary_format.save logs ~path:(Filename.concat odir "traces.ptb");
-            Format.printf "written to %s/traces.ptb@." odir
-        | None -> ());
+        print_hosts arenas;
+        Option.iter (fun dir -> save_arenas arenas ~dir) out;
         write_telemetry tfile tformat;
         `Ok ()
   in
@@ -1557,19 +1568,10 @@ let bundle_query_cmd =
           Bundle.Reader.query ~jobs:(jobs_of jobs) reader (predicate_of since_ms until_ms hosts)
         with
         | Error e -> `Error (false, e)
-        | Ok (logs, stats) ->
+        | Ok (arenas, stats) ->
             Format.printf "%a@." Store.Query.pp_stats stats;
-            List.iter
-              (fun log ->
-                Format.printf "  %-10s %d activities@." (Trace.Log.hostname log)
-                  (Trace.Log.length log))
-              logs;
-            (match out with
-            | Some odir ->
-                if not (Sys.file_exists odir) then Sys.mkdir odir 0o755;
-                Trace.Binary_format.save logs ~path:(Filename.concat odir "traces.ptb");
-                Format.printf "written to %s/traces.ptb@." odir
-            | None -> ());
+            print_hosts arenas;
+            Option.iter (fun dir -> save_arenas arenas ~dir) out;
             `Ok ())
   in
   Cmd.v

@@ -3,9 +3,11 @@
 
    A Database_Lock fault strikes the running auction site halfway through
    the session. The online correlator (attached directly to the tracing
-   probe) turns activities into causal paths in real time, and the drift
-   detector watches each pattern's latency-percentage profile - no offline
-   analysis step, no resource monitoring.
+   probe) turns activities into causal paths in real time, and the
+   streaming detector - which learns its baseline from the healthy
+   up-ramp - watches each pattern's latency-percentage profile, mix,
+   latency and throughput: no offline analysis step, no resource
+   monitoring.
 
      dune exec examples/online_monitor.exe *)
 
@@ -13,11 +15,13 @@ module Service = Tiersim.Service
 module S = Tiersim.Scenario
 module Faults = Tiersim.Faults
 module ST = Simnet.Sim_time
+module Detector = Diagnose.Detector
 
 let () =
   let time_scale = 0.1 in
   let up, runtime, down = S.stage_spans ~time_scale in
   let onset = ST.span_add up (ST.span_scale 0.5 runtime) in
+  let measure_from, measure_until = S.runtime_session ~time_scale in
   Format.printf "running 300 clients; Database_Lock strikes at t=%a@.@." ST.pp_span onset;
 
   let cfg =
@@ -29,9 +33,16 @@ let () =
   in
   let svc = Service.create cfg in
   Trace.Probe.enable (Service.probe svc);
+  let engine = Service.engine svc in
 
+  (* Freeze the inline-learned baseline at the end of the up-ramp, and
+     judge only paths completing inside the runtime session: the ramps
+     legitimately run below baseline throughput. *)
   let detector =
-    Core.Drift.create ~config:{ Core.Drift.warmup = 400; window = 150; threshold = 0.08 } ()
+    Detector.create
+      ~config:{ Detector.default_config with freeze_after = Some measure_from }
+      ~now:(fun () -> Simnet.Engine.now engine)
+      ()
   in
   let paths_done = ref 0 in
   let correlator_cfg =
@@ -42,13 +53,15 @@ let () =
       ~hosts:(Service.server_hostnames svc)
       ~on_path:(fun cag ->
         incr paths_done;
-        List.iter
-          (fun alert ->
-            Format.printf "!! t=%a  path #%d  ALERT %a@."
-              Simnet.Sim_time.pp
-              (Simnet.Engine.now (Service.engine svc))
-              !paths_done Core.Drift.pp_alert alert)
-          (Core.Drift.observe detector cag))
+        let now = Simnet.Engine.now engine in
+        if
+          ST.compare now measure_until <= 0
+          && ((not (Detector.warmed detector)) || ST.compare now measure_from >= 0)
+        then
+          List.iter
+            (fun v ->
+              Format.printf "!! path #%d  ALERT %a@." !paths_done Detector.pp_verdict v)
+            (Detector.observe detector cag))
       ()
   in
 
@@ -61,14 +74,14 @@ let () =
       stop_issuing_at = stop;
       only_kind = None;
     };
-  Simnet.Engine.run (Service.engine svc);
+  Simnet.Engine.run engine;
   Core.Online.finish online;
 
+  let verdicts = Detector.verdicts detector in
   Format.printf "@.run complete: %d paths correlated live, %d alerts@." !paths_done
-    (List.length (Core.Drift.alerts detector));
-  match Core.Drift.alerts detector with
-  | [] -> Format.printf "no regression detected (unexpected!)@."
-  | alerts ->
-      let first = List.hd alerts in
-      Format.printf "first alert implicates %s - the injected fault's home.@."
-        (Core.Latency.component_label first.Core.Drift.comp)
+    (List.length verdicts);
+  match List.find_map (fun (v : Detector.verdict) -> v.Detector.culprit) verdicts with
+  | None -> Format.printf "no culprit named (unexpected!)@."
+  | Some culprit ->
+      Format.printf "first culprit named: %s - the injected fault's home.@."
+        (Core.Analysis.subject_label culprit)

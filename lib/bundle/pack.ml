@@ -1,6 +1,7 @@
 module Activity = Trace.Activity
 module Address = Simnet.Address
-module Log = Trace.Log
+module Arena = Trace.Arena
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 module Cag = Core.Cag
 module Correlator = Core.Correlator
@@ -41,36 +42,32 @@ let section_of_segment id = Printf.sprintf "segments/%06d" id
    completion order, vertices in causal order, sources in observation
    order), so packing is reproducible byte for byte. *)
 
+let key_of_row arena i =
+  ( Arena.ts arena i,
+    Arena.ctx_id arena i,
+    Arena.flow_id arena i,
+    Arena.size arena i,
+    Arena.kind_code arena i )
+
 let key_of (a : Activity.t) kind =
-  let c = a.Activity.context in
-  let f = a.Activity.message.flow in
-  ( Sim_time.to_ns a.timestamp,
-    c.Activity.host,
-    c.program,
-    c.pid,
-    c.tid,
-    Address.ip_to_int f.src.ip,
-    f.src.port,
-    Address.ip_to_int f.dst.ip,
-    f.dst.port,
-    a.message.size,
-    kind )
+  ( Sim_time.to_ns a.Activity.timestamp,
+    Intern.context_id a.Activity.context,
+    Intern.flow_id a.Activity.message.flow,
+    a.Activity.message.size,
+    Activity.kind_to_code kind )
 
 let raw_kind_of = function
   | Activity.Begin -> Some Activity.Receive
   | Activity.End_ -> Some Activity.Send
   | Activity.Send | Activity.Receive -> None
 
-let build_index collection =
-  let hosts = Array.of_list (List.map Log.hostname collection) in
-  let host_idx = Hashtbl.create 8 in
-  Array.iteri (fun i h -> Hashtbl.replace host_idx h i) hosts;
+let build_index arenas =
+  let hosts = Array.of_list (List.map Arena.hostname arenas) in
   let index = Hashtbl.create 4096 in
   List.iteri
-    (fun hi log ->
-      List.iteri
-        (fun ri (a : Activity.t) ->
-          let key = key_of a a.Activity.kind in
+    (fun hi arena ->
+      Arena.iteri_rows arena (fun ri ->
+          let key = key_of_row arena ri in
           let q =
             match Hashtbl.find_opt index key with
             | Some q -> q
@@ -79,9 +76,8 @@ let build_index collection =
                 Hashtbl.replace index key q;
                 q
           in
-          Queue.push (hi, ri) q)
-        (Log.to_list log))
-    collection;
+          Queue.push (hi, ri) q))
+    arenas;
   (hosts, index)
 
 let resolve_source index (a : Activity.t) =
@@ -164,71 +160,80 @@ let read_file path =
    is lossless and deterministic with respect to the store's content. *)
 let of_store_dir dir =
   let* manifest = Store.Manifest.load ~dir in
-  let* segments =
+  let* rev_segments, rev_batches =
     List.fold_left
       (fun acc (meta : Store.Segment.meta) ->
-        let* acc = acc in
-        let* data = read_file (Filename.concat dir meta.Store.Segment.file) in
-        Ok ((meta, data) :: acc))
-      (Ok []) manifest.Store.Manifest.segments
-    |> Result.map List.rev
+        let* segments, batches = acc in
+        let path = Filename.concat dir meta.Store.Segment.file in
+        let* data = read_file path in
+        let* batch =
+          Store.Segment.read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:path
+            meta
+        in
+        Ok ((meta, data) :: segments, batch :: batches))
+      (Ok ([], [])) manifest.Store.Manifest.segments
   in
-  let* collections =
-    List.fold_left
-      (fun acc (meta, _) ->
-        let* acc = acc in
-        let* c = Store.Segment.read ~dir meta in
-        Ok (c :: acc))
-      (Ok []) segments
-    |> Result.map List.rev
-  in
-  Ok (manifest, segments, Store.Query.merge collections)
+  Ok (manifest, List.rev rev_segments, Store.Query.merge_native (List.rev rev_batches))
 
-(* Roll a raw collection into synthetic segments, as a store ingest with
-   no reduction would. *)
-let of_logs ?(roll_records = 65_536) collection =
-  let records = Log.total collection in
+(* Roll per-host arenas into synthetic segments, as a store ingest with no
+   reduction would: cut the time-merged feed every [roll_records] rows,
+   then regroup each cut per host. *)
+let of_logs ?(roll_records = 65_536) arenas =
+  let records = Arena.total arenas in
   if records = 0 then Error "pack: empty collection"
   else begin
     let batches =
-      if records <= roll_records then [ collection ]
+      if records <= roll_records then [ arenas ]
       else begin
-        (* Cut on the time-merged feed every [roll_records] records, then
-           regroup per host — mirrors the writer's roll behaviour. *)
-        let all =
-          List.concat_map (fun log -> List.map (fun a -> (Log.hostname log, a)) (Log.to_list log))
-            collection
-          |> List.stable_sort (fun (_, a) (_, b) -> Activity.compare_by_time a b)
+        let hosts = Array.of_list arenas in
+        (* (host, row) pairs in (timestamp, context, kind) order; contexts
+           differ across hosts, so only same-host rows can tie, and the
+           stable sort keeps them in row order. *)
+        let feed =
+          Array.concat (List.mapi (fun h a -> Array.init (Arena.length a) (fun r -> (h, r))) arenas)
         in
-        let rec cut acc batch n = function
-          | [] -> List.rev (if batch = [] then acc else List.rev batch :: acc)
-          | x :: rest ->
-              if n + 1 >= roll_records then cut (List.rev (x :: batch) :: acc) [] 0 rest
-              else cut acc (x :: batch) (n + 1) rest
-        in
-        let to_collection batch =
-          let by_host = Hashtbl.create 8 in
-          List.iter
-            (fun (h, a) ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt by_host h) in
-              Hashtbl.replace by_host h (a :: prev))
-            batch;
-          Hashtbl.fold (fun h acts acc -> (h, acts) :: acc) by_host []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.map (fun (hostname, acts) -> Log.of_list ~hostname (List.rev acts))
-        in
-        List.map to_collection (cut [] [] 0 all)
+        Array.stable_sort
+          (fun (h1, r1) (h2, r2) ->
+            let a = hosts.(h1) and b = hosts.(h2) in
+            match Int.compare (Arena.ts a r1) (Arena.ts b r2) with
+            | 0 -> (
+                match Intern.compare_context_id (Arena.ctx_id a r1) (Arena.ctx_id b r2) with
+                | 0 ->
+                    Int.compare
+                      (Activity.kind_priority (Arena.kind a r1))
+                      (Activity.kind_priority (Arena.kind b r2))
+                | c -> c)
+            | c -> c)
+          feed;
+        List.init
+          ((records + roll_records - 1) / roll_records)
+          (fun k ->
+            let cut = Array.make (Array.length hosts) None in
+            for i = k * roll_records to min records ((k + 1) * roll_records) - 1 do
+              let h, r = feed.(i) in
+              let dst =
+                match cut.(h) with
+                | Some dst -> dst
+                | None ->
+                    let dst = Arena.create_sid (Arena.host_sid hosts.(h)) in
+                    cut.(h) <- Some dst;
+                    dst
+              in
+              Arena.append_row dst hosts.(h) r
+            done;
+            Array.to_list cut |> List.filter_map Fun.id
+            |> List.sort (fun a b -> String.compare (Arena.hostname a) (Arena.hostname b)))
       end
     in
     let manifest, rev_segments =
       List.fold_left
         (fun (manifest, acc) batch ->
           let id = manifest.Store.Manifest.next_id in
-          let meta, data = Store.Segment.encode ~id ~policy:"none" batch in
+          let meta, data = Store.Segment.encode_native ~id ~policy:"none" batch in
           (Store.Manifest.add manifest meta, (meta, data) :: acc))
         (Store.Manifest.empty, []) batches
     in
-    Ok (manifest, List.rev rev_segments, Store.Query.merge batches)
+    Ok (manifest, List.rev rev_segments, Store.Query.merge_native batches)
   end
 
 (* ---- packing ---- *)
@@ -262,12 +267,12 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
     | `Store_dir dir -> of_store_dir dir
     | `Logs logs -> of_logs ?roll_records logs
   in
-  if Log.total collection = 0 then Error "pack: store holds no records"
+  if Arena.total collection = 0 then Error "pack: store holds no records"
   else begin
     let source_label =
       match source with `Store_dir dir -> "store:" ^ Filename.basename dir | `Logs _ -> "logs"
     in
-    let result = Shard.correlate ?jobs config collection in
+    let result = Shard.correlate_arena ?jobs config collection in
     let cags = result.Correlator.cags in
     let hosts, paths, links, unresolved = link_paths collection cags in
     let profiles = Codec.profiles_of_cags cags in
@@ -299,7 +304,7 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
       {
         out_path = path;
         bytes = 0;
-        records = Log.total collection;
+        records = Arena.total collection;
         hosts = Array.to_list hosts;
         segments = List.length segments;
         store_bytes = List.fold_left (fun acc (_, d) -> acc + String.length d) 0 segments;

@@ -1,8 +1,8 @@
 (** Packing a run into a [PTZ1] bundle.
 
     The packer embeds the store (segment bytes verbatim for a store
-    directory; synthetic no-reduction segments for an in-memory
-    collection), correlates the embedded records, and serialises the
+    directory; synthetic no-reduction segments for in-memory per-host
+    arenas), correlates the embedded records, and serialises the
     resulting causal paths with a back-link per vertex source resolved
     against the canonical record order ({!Reader.collection}). Pattern
     profiles, the correlation configuration, an optional scenario
@@ -37,10 +37,11 @@ val pack :
   ?jobs:int ->
   ?roll_records:int ->
   config:Core.Correlator.config ->
-  source:[ `Store_dir of string | `Logs of Trace.Log.collection ] ->
+  source:[ `Store_dir of string | `Logs of Trace.Arena.t list ] ->
   path:string ->
   unit ->
   (summary, string) result
 (** Write the bundle to [path] (atomically, via a temp file + rename).
     [roll_records] (default 65536) sizes the synthetic segments of a
-    [`Logs] source; a [`Store_dir] source keeps its segmentation. *)
+    [`Logs] source (time-sorted arenas, one per host); a [`Store_dir]
+    source keeps its segmentation. *)

@@ -1,5 +1,4 @@
-module Activity = Trace.Activity
-module Log = Trace.Log
+module Arena = Trace.Arena
 module Json = Core.Json
 
 type t = {
@@ -8,8 +7,8 @@ type t = {
   manifest : Json.t;
   sections : Container.section list;
   store_manifest : Store.Manifest.t;
-  mutable collection : Log.collection option;
-  mutable host_logs : (string, Activity.t array) Hashtbl.t option;
+  mutable collection : Arena.t list option;
+  mutable host_logs : (string, Arena.t) Hashtbl.t option;
   mutable decoded_paths : Codec.decoded option;
   mutable profiles : Codec.profile list option;
 }
@@ -79,12 +78,12 @@ let config t =
 let read_segment t (meta : Store.Segment.meta) =
   let name = Printf.sprintf "segments/%06d" meta.Store.Segment.id in
   let* s = require t name in
-  Store.Segment.read_embedded ~data:t.data ~pos:s.Container.pos ~len:s.Container.len
+  Store.Segment.read_embedded_native ~data:t.data ~pos:s.Container.pos ~len:s.Container.len
     ~what:(Printf.sprintf "%s section %S" t.display name)
     meta
 
 (* The canonical record order every back-link indexes into: segments
-   decoded in manifest order, per-host logs merged and re-sorted — the
+   decoded in manifest order, per-host arenas merged and re-sorted — the
    same merge {!Store.Query} performs, so coordinates survive store
    compaction (which preserves records and query answers). *)
 let collection t =
@@ -100,12 +99,13 @@ let collection t =
           (Ok []) t.store_manifest.Store.Manifest.segments
         |> Result.map List.rev
       in
-      let c = Store.Query.merge collections in
+      let c = Store.Query.merge_native collections in
       t.collection <- Some c;
       Ok c
 
 let query ?telemetry ?pool ?jobs t predicate =
-  Store.Query.run_with ?telemetry ?pool ?jobs ~read:(read_segment t) t.store_manifest predicate
+  Store.Query.run_native_with ?telemetry ?pool ?jobs ~read:(read_segment t) t.store_manifest
+    predicate
 
 let paths t =
   match t.decoded_paths with
@@ -155,7 +155,7 @@ let host_logs t =
   | None ->
       let* c = collection t in
       let h = Hashtbl.create 8 in
-      List.iter (fun log -> Hashtbl.replace h (Log.hostname log) (Array.of_list (Log.to_list log))) c;
+      List.iter (fun arena -> Hashtbl.replace h (Arena.hostname arena) arena) c;
       t.host_logs <- Some h;
       Ok h
 
@@ -167,12 +167,12 @@ let resolve t ~link_hosts (host, index) =
     let* logs = host_logs t in
     match Hashtbl.find_opt logs hostname with
     | None -> Error (Printf.sprintf "%s: back-link names unknown host %S" t.display hostname)
-    | Some arr ->
-        if index < 0 || index >= Array.length arr then
+    | Some arena ->
+        if index < 0 || index >= Arena.length arena then
           Error
             (Printf.sprintf "%s: back-link record index %d out of range for host %S (%d records)"
-               t.display index hostname (Array.length arr))
-        else Ok (hostname, index, arr.(index))
+               t.display index hostname (Arena.length arena))
+        else Ok (hostname, index, Arena.get arena index)
   end
 
 let resolve_links t ~link_hosts links =

@@ -2,7 +2,7 @@
     embedded store segments are never copied out to temp files — and every
     decode error names the bundle-relative offset it was detected at.
 
-    Decoded artifacts (the canonical record collection, the path table,
+    Decoded artifacts (the canonical per-host arenas, the path table,
     the profiles) are cached on the handle after first use, so a [walk]
     following a [query] pays for one decode. *)
 
@@ -27,13 +27,14 @@ val config : t -> (Core.Json.t option, string) result
 
 val store_manifest : t -> Store.Manifest.t
 
-val read_segment : t -> Store.Segment.meta -> (Trace.Log.collection, string) result
+val read_segment : t -> Store.Segment.meta -> (Trace.Arena.t list, string) result
 (** Decode one embedded segment at its section offset. *)
 
-val collection : t -> (Trace.Log.collection, string) result
+val collection : t -> (Trace.Arena.t list, string) result
 (** The canonical record order: all embedded segments decoded in manifest
-    order and merged exactly as {!Store.Query.merge} does. Back-link
-    [(host, index)] coordinates index into this collection. Cached. *)
+    order and merged exactly as {!Store.Query.merge_native} does.
+    Back-link [(host, index)] coordinates index into these arenas.
+    Cached. *)
 
 val query :
   ?telemetry:Telemetry.Registry.t ->
@@ -41,8 +42,8 @@ val query :
   ?jobs:int ->
   t ->
   Store.Query.predicate ->
-  (Trace.Log.collection * Store.Query.stats, string) result
-(** {!Store.Query.run_with} against the embedded segments: identical
+  (Trace.Arena.t list * Store.Query.stats, string) result
+(** {!Store.Query.run_native_with} against the embedded segments: identical
     manifest pruning, parallel decode, merge and record filtering as a
     directory-backed store query. *)
 

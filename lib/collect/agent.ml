@@ -329,22 +329,19 @@ let rec kick_encode t =
     t.encoding <- true;
     let arena, n, watermark = Queue.peek t.encode_q in
     let kept =
-      if Store.Policy.is_none t.cfg.policy then arena
-      else
-        match t.cfg.correlate with
-        | None -> assert false (* rejected at create *)
-        | Some correlate ->
-            (* private registry: the throwaway attribution pass must not
-               pollute the process self-profile with store metrics *)
-            let collection, _ =
-              Store.Reduce.apply ~telemetry:(R.create ()) ~jobs:1 ~correlate
-                ~policy:t.cfg.policy
-                [ Trace.Arena.to_log arena ]
-            in
-            (match Trace.Arena.of_collection collection with
-            | [ a ] -> a
-            | [] -> Trace.Arena.create ~host:t.hostname ()
-            | _ -> assert false (* the policy reduces one log to one log *))
+      match t.cfg.correlate with
+      | Some correlate when not (Store.Policy.is_none t.cfg.policy) -> (
+          (* reduction takes time-sorted batches; the private registry
+             keeps the throwaway attribution pass out of the process
+             self-profile *)
+          Trace.Arena.sort_by_time arena;
+          match
+            Store.Reduce.apply ~telemetry:(R.create ()) ~jobs:1 ~correlate
+              ~policy:t.cfg.policy [ arena ]
+          with
+          | [ a ], _ -> a
+          | _ -> Trace.Arena.create ~host:t.hostname ())
+      | _ -> arena
     in
     (* partial correlation runs after the policy step: it only removes
        what the downstream correlator would remove or merge itself *)

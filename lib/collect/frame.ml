@@ -10,19 +10,9 @@ let max_host_len = 4096
 let max_payload_len = 1 lsl 28
 let max_boundary_len = 1 lsl 24
 
-(* ---- encoding (same LEB128 primitives as Trace.Binary_format) ---- *)
+(* ---- encoding ---- *)
 
-let put_uvarint buf n =
-  if n < 0 then
-    invalid_arg (Printf.sprintf "Frame.put_uvarint: negative value %d" n);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let put_uvarint = Trace.Binary_format.put_uvarint
 
 let encode_payload_arena arena = Trace.Binary_format.encode_native [ arena ]
 

@@ -116,7 +116,9 @@ let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
     memory_bytes_estimate = !peak * bytes_per_record;
   }
 
-let correlate_stream ?(telemetry = R.default) cfg collection ~on_path =
+let ignore_path (_ : Cag.t) = ()
+
+let correlate ?(telemetry = R.default) ?(on_path = ignore_path) cfg collection =
   let started = Unix.gettimeofday () in
   let prepared =
     R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds" (fun () ->
@@ -124,20 +126,14 @@ let correlate_stream ?(telemetry = R.default) cfg collection ~on_path =
   in
   correlate_prepared ~telemetry ~started cfg prepared ~on_path
 
-let correlate ?telemetry cfg collection =
-  correlate_stream ?telemetry cfg collection ~on_path:(fun _ -> ())
-
 (* Native entry: transform in the arena representation (memoised per
    interned id), then materialise once for the ranker. The transformed
    arenas preserve append order, so [to_collection] appends straight into
    sorted logs without a re-sort. *)
-let correlate_arena_stream ?(telemetry = R.default) cfg arenas ~on_path =
+let correlate_arena ?(telemetry = R.default) ?(on_path = ignore_path) cfg arenas =
   let started = Unix.gettimeofday () in
   let prepared =
     R.time telemetry ~labels:[ ("stage", "transform") ] "pt_correlator_stage_seconds" (fun () ->
         Trace.Arena.to_collection (Transform.apply_native cfg.transform arenas))
   in
   correlate_prepared ~telemetry ~started cfg prepared ~on_path
-
-let correlate_arena ?telemetry cfg arenas =
-  correlate_arena_stream ?telemetry cfg arenas ~on_path:(fun _ -> ())

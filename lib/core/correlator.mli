@@ -39,37 +39,31 @@ type result = {
       (** [peak_memory_proxy] scaled by a per-record footprint estimate. *)
 }
 
-val correlate : ?telemetry:Telemetry.Registry.t -> config -> Trace.Log.collection -> result
-(** Run the offline pipeline to completion. The run also reports itself
-    into [telemetry] (default {!Telemetry.Registry.default}): per-stage
-    wall time, activities in, commits, window occupancy, the path counts,
-    and the full {!Ranker.stats}/{!Cag_engine.stats} mirror (see
-    docs/TELEMETRY.md for the catalogue). *)
-
-val correlate_stream :
+val correlate :
   ?telemetry:Telemetry.Registry.t ->
+  ?on_path:(Cag.t -> unit) ->
   config ->
   Trace.Log.collection ->
-  on_path:(Cag.t -> unit) ->
   result
-(** Same, invoking [on_path] as each causal path completes — the paper's
-    intended online use. *)
+(** Run the offline pipeline to completion, invoking [on_path] (default:
+    nothing) as each causal path completes — the paper's intended online
+    use. The run also reports itself into [telemetry] (default
+    {!Telemetry.Registry.default}): per-stage wall time, activities in,
+    commits, window occupancy, the path counts, and the full
+    {!Ranker.stats}/{!Cag_engine.stats} mirror (see docs/TELEMETRY.md for
+    the catalogue). *)
 
 val correlate_arena :
-  ?telemetry:Telemetry.Registry.t -> config -> Trace.Arena.t list -> result
+  ?telemetry:Telemetry.Registry.t ->
+  ?on_path:(Cag.t -> unit) ->
+  config ->
+  Trace.Arena.t list ->
+  result
 (** {!correlate} fed from the native representation: the {!Transform}
     pass runs as {!Transform.apply_native} (one memoised decision per
     interned context/flow id) and records are materialised exactly once,
     for the ranker. Decoded segments and collector batches take this
     entry without round-tripping through {!Trace.Log}. *)
-
-val correlate_arena_stream :
-  ?telemetry:Telemetry.Registry.t ->
-  config ->
-  Trace.Arena.t list ->
-  on_path:(Cag.t -> unit) ->
-  result
-(** {!correlate_arena} invoking [on_path] as each path completes. *)
 
 val correlate_prepared :
   ?telemetry:Telemetry.Registry.t ->

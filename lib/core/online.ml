@@ -198,19 +198,13 @@ let materialize_row arena i k =
     | None -> a (* unreachable: classify_row only returns valid codes *)
 
 let observe_arena t arena =
-  let custom = Transform.has_custom_keep t.transform in
-  (* Filtered-out rows only need materialising when a tee listener or a
-     custom keep predicate wants the raw record. *)
-  let raw_all = custom || t.on_activity != default_on_activity in
+  (* Filtered-out rows only need materialising when a tee listener wants
+     the raw record. *)
+  let tee = t.on_activity != default_on_activity in
   for i = 0 to Arena.length arena - 1 do
     let k = Transform.classify_row t.tmemo arena i in
-    if raw_all then begin
-      let raw = Arena.get arena i in
-      t.on_activity raw;
-      if k >= 0 && ((not custom) || t.transform.Transform.keep raw) then
-        feed_classified t (materialize_row arena i k)
-    end
-    else if k >= 0 then feed_classified t (materialize_row arena i k)
+    if tee then t.on_activity (Arena.get arena i);
+    if k >= 0 then feed_classified t (materialize_row arena i k)
   done
 
 let finish t =

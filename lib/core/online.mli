@@ -9,10 +9,16 @@
 
     Candidates are only committed once every node's feed watermark has
     passed their timestamp plus the skew allowance (see
-    {!Ranker.rank_step}), so the online run produces {e exactly} the same
-    CAGs as an offline run over the final logs — a property the test
-    suite asserts. The price is latency: a path completes at most
-    [skew_allowance] (plus feeding lag) after its END activity.
+    {!Ranker.rank_step}), so the online run finds the same causal paths
+    as an offline run over the final logs: the same path ids, in the
+    same completion order, with identical {!Accuracy.check} verdicts — a
+    property the test suite asserts. Vertex order is not guaranteed:
+    where a request fans out concurrently, sibling vertices can be
+    committed in a different order live than in batch, so
+    {!Pattern.signature_of} may differ for such paths (sequential
+    multi-tier paths, as in RUBiS, come out identical). The price is
+    latency: a path completes at most [skew_allowance] (plus feeding
+    lag) after its END activity.
 
     {1 Degraded feeds}
 
@@ -77,8 +83,8 @@ val observe_arena : t -> Trace.Arena.t -> unit
     for collector batches and decoded segments. Transform decisions are
     memoised per interned context/flow id, and records are materialised
     only for rows that survive the filters (unless an [on_activity] tee
-    or a custom [keep] needs the raw record). Same quarantine-not-raise
-    contract as {!observe}. *)
+    needs the raw record). Same quarantine-not-raise contract as
+    {!observe}. *)
 
 val finish : t -> unit
 (** Declare the input complete and drain everything that remains.

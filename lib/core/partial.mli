@@ -24,9 +24,8 @@
       ships alongside the reduced batch.
 
     The pass is bounded-memory: its flow table is capped at
-    [max_flows]; a batch that exceeds the budget (or a transform with a
-    custom [keep] predicate, which cannot be evaluated natively) is
-    shipped raw, flagged [fallback]. *)
+    [max_flows]; a batch that exceeds the budget is shipped raw, flagged
+    [fallback]. *)
 
 type config = {
   transform : Transform.config;
@@ -54,7 +53,7 @@ type result = {
   rows_dropped : int;  (** Removed by the transform prefilter. *)
   rows_coalesced : int;  (** Merged into a preceding run head. *)
   local_flows : int;  (** Flows fully resolved inside the host. *)
-  fallback : bool;  (** Batch shipped raw (budget or custom [keep]). *)
+  fallback : bool;  (** Batch shipped raw (flow-table budget exceeded). *)
 }
 
 val reduce : t -> Trace.Arena.t -> result

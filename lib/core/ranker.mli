@@ -97,8 +97,10 @@ val rank : t -> Trace.Activity.t option
     reports them, and pull candidates with {!rank_step}. Candidates are
     withheld until enough input has arrived that no later-fed activity
     could precede them (each stream's feed watermark must pass the
-    candidate's timestamp plus the skew allowance), so online results
-    match the offline run on the same trace exactly.
+    candidate's timestamp plus the skew allowance), so an online run
+    yields the same paths as the offline run on the same trace — though
+    concurrent sibling vertices may be committed in a different order
+    (see {!Online}).
 
     {2 Degraded feeds}
 

@@ -3,9 +3,9 @@
     Selection happens in two stages. First the {!Manifest} prunes: only
     segments whose index header overlaps the predicate are opened at all,
     so a query over a narrow time window of a long run decodes a small
-    fraction of the store. Then the surviving segments are decoded and
-    filtered record by record, and per-host logs from different segments
-    are merged back into one sorted collection. *)
+    fraction of the store. Then the surviving segments are decoded
+    straight into arenas and filtered row by row, and per-host arenas
+    from different segments are merged back into one sorted arena. *)
 
 type predicate = {
   since_ns : int option;  (** Inclusive lower timestamp bound. *)
@@ -31,27 +31,10 @@ val pp_stats : Format.formatter -> stats -> unit
 val select : Manifest.t -> predicate -> Segment.meta list
 (** The manifest-level pruning alone (exposed for tests and [stat]). *)
 
-val merge : Trace.Log.collection list -> Trace.Log.collection
-(** Merge collections: logs of the same hostname are combined and
-    re-sorted; result ordered by hostname. *)
-
-val run_with :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  read:(Segment.meta -> (Trace.Log.collection, string) result) ->
-  Manifest.t ->
-  predicate ->
-  (Trace.Log.collection * stats, string) result
-(** The query engine over an abstract segment source: [read] resolves a
-    selected meta to its decoded collection (from a directory, or from
-    sections embedded in a bundle container — see [Bundle.Reader]). All
-    pruning, parallel decode, merge and record filtering is shared; the
-    semantics and determinism guarantees of {!run} apply. *)
-
 val merge_native : Trace.Arena.t list list -> Trace.Arena.t list
-(** {!merge} in the native representation: per-host concatenation is an
-    integer row blit, with one stable sort per host at the end. *)
+(** Merge batches: arenas of the same hostname are concatenated and
+    stably re-sorted ({!Trace.Arena.sort_by_time}, the [Log.of_list]
+    key); result ordered by hostname. *)
 
 val run_native_with :
   ?telemetry:Telemetry.Registry.t ->
@@ -61,9 +44,11 @@ val run_native_with :
   Manifest.t ->
   predicate ->
   (Trace.Arena.t list * stats, string) result
-(** {!run_with} without leaving the native representation: segments decode
-    straight into arenas, merge/filter are integer row copies. Same
-    pruning, ordering and determinism guarantees. *)
+(** The query engine over an abstract segment source: [read] resolves a
+    selected meta to its decoded arenas (from a directory, or from
+    sections embedded in a bundle container — see [Bundle.Reader]). All
+    pruning, parallel decode, merge and row filtering is shared; the
+    semantics and determinism guarantees of {!run_native} apply. *)
 
 val run_native :
   ?telemetry:Telemetry.Registry.t ->
@@ -72,19 +57,9 @@ val run_native :
   dir:string ->
   predicate ->
   (Trace.Arena.t list * stats, string) result
-(** {!run} in the native representation; {!run} itself is this plus a
-    record-list materialisation. *)
-
-val run :
-  ?telemetry:Telemetry.Registry.t ->
-  ?pool:Parallel.Pool.t ->
-  ?jobs:int ->
-  dir:string ->
-  predicate ->
-  (Trace.Log.collection * stats, string) result
-(** Execute a query against the store at [dir]. Query wall time and
-    scan/return counts are recorded into [telemetry] under
-    [pt_store_query_*].
+(** Execute a query against the store at [dir]: one arena per matching
+    host, rows in time order. Query wall time and scan/return counts are
+    recorded into [telemetry] under [pt_store_query_*].
 
     Surviving segments are decoded in parallel across [pool] (or a
     transient pool of [jobs] domains; default {!Parallel.Pool.default_jobs}).

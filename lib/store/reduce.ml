@@ -1,7 +1,7 @@
 module Activity = Trace.Activity
-module Log = Trace.Log
+module Arena = Trace.Arena
+module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
-module Address = Simnet.Address
 module Rng = Simnet.Rng
 module Cag = Core.Cag
 module R = Telemetry.Registry
@@ -31,44 +31,35 @@ let pp_stats ppf s =
     s.activities_before s.activities_after s.bytes_before s.bytes_after (ratio s)
     s.requests_kept s.requests_total s.effective_p s.non_causal
 
-(* Exact attribution key: a raw activity and the CAG vertex built from it
+(* Exact attribution key: a raw row and the CAG vertex built from it
    share timestamp, context and flow (the engine may rewrite kind and
-   size, never these). Flattened to immediates so the polymorphic hash is
-   cheap and structural. *)
-let key_of (a : Activity.t) =
-  let c = a.Activity.context in
-  let f = a.Activity.message.flow in
-  ( Sim_time.to_ns a.timestamp,
-    c.Activity.host,
-    c.program,
-    c.pid,
-    c.tid,
-    Address.ip_to_int f.src.ip,
-    f.src.port,
-    Address.ip_to_int f.dst.ip,
-    f.dst.port )
+   size, never these). Context and flow are process-wide interned ids, so
+   a row is looked up from its columns without materialising it. *)
+let vertex_key (a : Activity.t) =
+  ( Sim_time.to_ns a.Activity.timestamp,
+    Intern.context_id a.Activity.context,
+    Intern.flow_id a.Activity.message.flow )
 
 type attribution = {
-  exact : ((int * string * string * int * int * int * int * int * int), int) Hashtbl.t;
-  intervals : (Activity.context, (int * int * int) list) Hashtbl.t;
-      (* context -> (request index, lo_ns, hi_ns), sorted by lo. *)
+  exact : (int * int * int, int) Hashtbl.t;
+  intervals : (int, (int * int * int) list) Hashtbl.t;
+      (* context id -> (request index, lo_ns, hi_ns), sorted by lo. *)
 }
 
 let attribute requests =
   let exact = Hashtbl.create 4096 in
-  let by_ctx : (Activity.context * int, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
+  let by_ctx : (int * int, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
   Array.iteri
     (fun idx cag ->
       List.iter
         (fun (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          Hashtbl.replace exact (key_of a) idx;
-          let ts = Sim_time.to_ns a.timestamp in
-          match Hashtbl.find_opt by_ctx (a.context, idx) with
+          let ((ts, ctx, _) as key) = vertex_key v.Cag.activity in
+          Hashtbl.replace exact key idx;
+          match Hashtbl.find_opt by_ctx (ctx, idx) with
           | Some (lo, hi) ->
               if ts < !lo then lo := ts;
               if ts > !hi then hi := ts
-          | None -> Hashtbl.replace by_ctx (a.context, idx) (ref ts, ref ts))
+          | None -> Hashtbl.replace by_ctx (ctx, idx) (ref ts, ref ts))
         (Cag.vertices cag))
     requests;
   let intervals = Hashtbl.create 256 in
@@ -84,27 +75,28 @@ let attribute requests =
     intervals;
   { exact; intervals }
 
-let request_of attribution (a : Activity.t) =
-  match Hashtbl.find_opt attribution.exact (key_of a) with
+let request_of attribution arena i =
+  let ts = Arena.ts arena i and ctx = Arena.ctx_id arena i in
+  match Hashtbl.find_opt attribution.exact (ts, ctx, Arena.flow_id arena i) with
   | Some idx -> Some idx
   | None -> (
-      match Hashtbl.find_opt attribution.intervals a.Activity.context with
+      match Hashtbl.find_opt attribution.intervals ctx with
       | None -> None
       | Some spans ->
-          let ts = Sim_time.to_ns a.timestamp in
           List.find_map
             (fun (idx, lo, hi) -> if ts >= lo && ts <= hi then Some idx else None)
             spans)
 
-let time_span_s collection =
+let time_span_s arenas =
   let lo = ref max_int and hi = ref min_int in
   List.iter
-    (fun log ->
-      Log.iter log (fun a ->
-          let ts = Sim_time.to_ns a.Activity.timestamp in
-          if ts < !lo then lo := ts;
-          if ts > !hi then hi := ts))
-    collection;
+    (fun arena ->
+      match Arena.time_bounds arena with
+      | None -> ()
+      | Some (a, b) ->
+          lo := min !lo (Sim_time.to_ns a);
+          hi := max !hi (Sim_time.to_ns b))
+    arenas;
   if !hi <= !lo then 0.0 else float_of_int (!hi - !lo) /. 1e9
 
 (* Fill [keep] (one slot per request, BEGIN-time order) according to the
@@ -152,9 +144,9 @@ let record_telemetry telemetry stats =
        "pt_store_reduce_effective_p")
     stats.effective_p
 
-let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
-  let activities_before = Log.total collection in
-  let bytes_before = String.length (Trace.Binary_format.encode collection) in
+let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy arenas =
+  let activities_before = Arena.total arenas in
+  let bytes_before = String.length (Trace.Binary_format.encode_native arenas) in
   if Policy.is_none policy || activities_before = 0 then begin
     let stats =
       {
@@ -169,21 +161,28 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
       }
     in
     record_telemetry telemetry stats;
-    (collection, stats)
+    (arenas, stats)
   end
   else begin
     let filtered =
-      if policy.Policy.drop_programs = [] then collection
-      else
-        Log.map_activities
-          (fun a ->
-            if List.mem a.Activity.context.program policy.Policy.drop_programs then None
-            else Some a)
-          collection
+      match policy.Policy.drop_programs with
+      | [] -> arenas
+      | drop ->
+          let dropped = Hashtbl.create 64 in
+          let keep arena i =
+            let ctx = Arena.ctx_id arena i in
+            match Hashtbl.find_opt dropped ctx with
+            | Some d -> not d
+            | None ->
+                let d = List.mem (Intern.context_of_id ctx).Activity.program drop in
+                Hashtbl.add dropped ctx d;
+                not d
+          in
+          List.map (fun arena -> Arena.filter arena (keep arena)) arenas
     in
     (* Throwaway correlation purely for attribution: a private registry
        keeps it out of the pipeline's own self-profile. *)
-    let result = Core.Correlator.correlate ~telemetry:(R.create ()) correlate filtered in
+    let result = Core.Correlator.correlate_arena ~telemetry:(R.create ()) correlate filtered in
     let requests =
       List.sort
         (fun a b ->
@@ -195,10 +194,10 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
     in
     let attribution = attribute requests in
     (* The attribution tables are read-only from here on, so worker
-       domains can look activities up concurrently. Both passes below
-       (attribution counting, then the keep/drop filter) go per-log
-       through the pool; results are keyed by log index, so the reduced
-       collection is identical at any [jobs]. *)
+       domains can look rows up concurrently. Both passes below
+       (attribution counting, then the keep/drop filter) go per-arena
+       through the pool; results are keyed by arena index, so the reduced
+       batch is identical at any [jobs]. *)
     let logs = Array.of_list filtered in
     let nlogs = Array.length logs in
     let run_passes pool_opt =
@@ -210,8 +209,8 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
       let counts =
         pmap (fun i ->
             let causal = ref 0 and non = ref 0 in
-            Log.iter logs.(i) (fun a ->
-                match request_of attribution a with
+            Arena.iteri_rows logs.(i) (fun r ->
+                match request_of attribution logs.(i) r with
                 | Some _ -> incr causal
                 | None -> incr non);
             (!causal, !non))
@@ -225,14 +224,12 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
       in
       let reduced =
         pmap (fun i ->
-            Log.map_activities
-              (fun a ->
-                match request_of attribution a with
-                | Some idx -> if keep.(idx) then Some a else None
-                | None -> if policy.Policy.drop_non_causal then None else Some a)
-              [ logs.(i) ])
-        |> Array.to_list |> List.concat
-        |> List.filter (fun log -> Log.length log > 0)
+            Arena.filter logs.(i) (fun r ->
+                match request_of attribution logs.(i) r with
+                | Some idx -> keep.(idx)
+                | None -> not policy.Policy.drop_non_causal))
+        |> Array.to_list
+        |> List.filter (fun arena -> Arena.length arena > 0)
       in
       (non_causal, keep, effective_p, reduced)
     in
@@ -249,11 +246,11 @@ let apply ?(telemetry = R.default) ?pool ?jobs ~correlate ~policy collection =
         | Some p -> run_passes (Some p)
         | None -> Parallel.Pool.with_pool ~jobs (fun p -> run_passes (Some p))
     in
-    let bytes_after = String.length (Trace.Binary_format.encode reduced) in
+    let bytes_after = String.length (Trace.Binary_format.encode_native reduced) in
     let stats =
       {
         activities_before;
-        activities_after = Log.total reduced;
+        activities_after = Arena.total reduced;
         bytes_before;
         bytes_after;
         requests_total = Array.length requests;

@@ -87,23 +87,9 @@ let time_bounds arenas =
     arenas;
   (!lo, !hi)
 
-let u32be n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.to_string b
-
-let read_u32be s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let records = Trace.Arena.total arenas in
-  if records = 0 then invalid_arg "Segment.encode: empty collection";
+  if records = 0 then invalid_arg "Segment.encode_native: empty batch";
   let payload = Trace.Binary_format.encode_native arenas in
   let raw_records = Option.value ~default:records raw_records in
   let raw_bytes = Option.value ~default:(String.length payload) raw_bytes in
@@ -125,24 +111,16 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let header = Json.to_string (meta_to_json meta) in
   let buf = Buffer.create (String.length payload + String.length header + 8) in
   Buffer.add_string buf magic;
-  Buffer.add_string buf (u32be (String.length header));
+  Buffer.add_string buf (Trace.Binary_format.u32be (String.length header));
   Buffer.add_string buf header;
   Buffer.add_string buf payload;
   (meta, Buffer.contents buf)
 
-let encode ~id ~policy ?raw_records ?raw_bytes collection =
-  encode_native ~id ~policy ?raw_records ?raw_bytes (Trace.Arena.of_collection collection)
-
-let write_data ~dir (meta, data) =
+let write_native ~dir ~id ~policy ?raw_records ?raw_bytes arenas =
+  let meta, data = encode_native ~id ~policy ?raw_records ?raw_bytes arenas in
   let oc = open_out_bin (Filename.concat dir meta.file) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data);
   meta
-
-let write ~dir ~id ~policy ?raw_records ?raw_bytes collection =
-  write_data ~dir (encode ~id ~policy ?raw_records ?raw_bytes collection)
-
-let write_native ~dir ~id ~policy ?raw_records ?raw_bytes arenas =
-  write_data ~dir (encode_native ~id ~policy ?raw_records ?raw_bytes arenas)
 
 let read_file path =
   match open_in_bin path with
@@ -162,7 +140,7 @@ let parse_header_at data ~pos ~len ~what =
   else if len < 8 || not (String.equal (String.sub data pos 4) magic) then
     Error (Printf.sprintf "%s: not a PTS1 segment at offset %d" what pos)
   else begin
-    let header_len = read_u32be data (pos + 4) in
+    let header_len = Trace.Binary_format.read_u32be data (pos + 4) in
     if 8 + header_len > len then
       Error (Printf.sprintf "%s: truncated segment header at offset %d" what (pos + 4))
     else
@@ -207,13 +185,8 @@ let read_embedded_native ~data ~pos ~len ~what meta =
             else Ok arenas
       end
 
-let read_embedded ~data ~pos ~len ~what meta =
-  Result.map Trace.Arena.to_collection (read_embedded_native ~data ~pos ~len ~what meta)
-
 let read_native ~dir meta =
   let path = Filename.concat dir meta.file in
   match read_file path with
   | Error e -> Error e
   | Ok data -> read_embedded_native ~data ~pos:0 ~len:(String.length data) ~what:path meta
-
-let read ~dir meta = Result.map Trace.Arena.to_collection (read_native ~dir meta)

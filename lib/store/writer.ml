@@ -1,7 +1,6 @@
 module Activity = Trace.Activity
 module Arena = Trace.Arena
 module Intern = Trace.Intern
-module Log = Trace.Log
 module R = Telemetry.Registry
 
 type stats = {
@@ -112,36 +111,26 @@ let flush t =
   if t.pending > 0 then begin
     let t0 = Unix.gettimeofday () in
     let batch = take_batch t in
-    (* The unreduced path stays native end to end; reduction needs request
-       attribution over record lists, so only that path materialises. *)
-    let write_native, reduced, raw_records, raw_bytes, requests_seen, requests_kept =
-      if Policy.is_none t.policy then (Some batch, [], Arena.total batch, -1, 0, 0)
+    let reduced, raw_records, raw_bytes, requests_seen, requests_kept =
+      if Policy.is_none t.policy then (batch, Arena.total batch, None, 0, 0)
       else
-        let correlate = Option.get t.correlate in
         let reduced, r =
-          Reduce.apply ~telemetry:t.telemetry ~correlate ~policy:t.policy
-            (Arena.to_collection batch)
+          Reduce.apply ~telemetry:t.telemetry ~correlate:(Option.get t.correlate)
+            ~policy:t.policy batch
         in
-        ( None,
-          reduced,
+        ( reduced,
           r.Reduce.activities_before,
-          r.Reduce.bytes_before,
+          Some r.Reduce.bytes_before,
           r.Reduce.requests_total,
           r.Reduce.requests_kept )
     in
-    let records_out =
-      match write_native with Some batch -> Arena.total batch | None -> Log.total reduced
-    in
+    let records_out = Arena.total reduced in
     let meta =
       if records_out = 0 then None
       else begin
-        let id = t.manifest.Manifest.next_id in
         let meta =
-          match write_native with
-          | Some batch -> Segment.write_native ~dir:t.dir ~id ~policy:t.policy_str batch
-          | None ->
-              Segment.write ~dir:t.dir ~id ~policy:t.policy_str ~raw_records ~raw_bytes
-                reduced
+          Segment.write_native ~dir:t.dir ~id:t.manifest.Manifest.next_id
+            ~policy:t.policy_str ~raw_records ?raw_bytes reduced
         in
         t.manifest <- Manifest.add t.manifest meta;
         Manifest.save t.manifest ~dir:t.dir;
@@ -149,7 +138,7 @@ let flush t =
       end
     in
     let bytes_out = match meta with Some m -> m.Segment.bytes | None -> 0 in
-    let bytes_in = if raw_bytes < 0 then bytes_out else raw_bytes in
+    let bytes_in = Option.value ~default:bytes_out raw_bytes in
     t.stats <-
       {
         segments = (t.stats.segments + match meta with Some _ -> 1 | None -> 0);
@@ -301,8 +290,6 @@ let ingest_native t arenas =
       Array.iteri (fun j a -> dests.(j) <- buffer_for t (Arena.host_sid a)) arenas
     end
   done
-
-let ingest t collection = ingest_native t (Arena.of_collection collection)
 
 let close t =
   flush t;

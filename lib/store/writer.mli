@@ -53,15 +53,10 @@ val observe_row : t -> host:int -> kind:int -> ts:int -> ctx:int -> flow:int -> 
     [kind] an {!Trace.Activity.kind_to_code} code, [ctx]/[flow] interned
     ids. One arena append, no allocation — the ingest hot path. *)
 
-val ingest : t -> Trace.Log.collection -> unit
-(** Feed a whole collection through {!observe}, interleaving the per-host
-    logs in global timestamp order — the same segment time-partitioning a
-    live feed would produce. Equivalent to
-    [ingest_native t (Trace.Arena.of_collection c)]. *)
-
 val ingest_native : t -> Trace.Arena.t list -> unit
-(** {!ingest} without leaving the native representation: a k-way merge of
-    the (sorted) arenas through {!observe_row}. Inputs are not mutated;
+(** Feed whole per-host arenas through {!observe_row}, interleaving them
+    in global timestamp order (a k-way merge) — the same segment
+    time-partitioning a live feed would produce. Inputs are not mutated;
     an unsorted arena is sorted on a copy. *)
 
 val flush : t -> unit

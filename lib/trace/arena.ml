@@ -122,6 +122,13 @@ let append_row dst src i =
     ~kind:(Char.code (Bytes.unsafe_get src.kinds i))
     ~ts:src.ts.(i) ~ctx:src.ctx.(i) ~flow:src.flow.(i) ~size:src.size.(i)
 
+let filter t keep =
+  let out = create_sid ~capacity:t.len t.host in
+  for i = 0 to t.len - 1 do
+    if keep i then append_row out t i
+  done;
+  out
+
 (* Bulk row copy: the writer's ingest merge advances in whole runs, and a
    run is four [Array.blit]s and a [Bytes.blit] instead of per-row
    appends. *)

@@ -34,6 +34,10 @@ val append_row : t -> t -> int -> unit
 (** [append_row dst src i] copies row [i] of [src] — five integer stores,
     valid across arenas because ids are process-wide. *)
 
+val filter : t -> (int -> bool) -> t
+(** [filter t keep] copies the rows [i] of [t] with [keep i], in order,
+    into a fresh arena of the same host. *)
+
 val append_range : t -> t -> lo:int -> hi:int -> unit
 (** [append_range dst src ~lo ~hi] copies rows [lo, hi) of [src] in one
     blit per column — the bulk form of {!append_row} for run-at-a-time

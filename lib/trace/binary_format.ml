@@ -25,6 +25,22 @@ let put_string buf s =
   put_uvarint buf (String.length s);
   Buffer.add_string buf s
 
+(* Fixed-width big-endian lengths, for the container formats that frame
+   a JSON header or a section name ahead of its bytes. *)
+let u32be n =
+  let b = Bytes.create 4 in
+  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set b 3 (Char.chr (n land 0xff));
+  Bytes.to_string b
+
+let read_u32be s pos =
+  (Char.code s.[pos] lsl 24)
+  lor (Char.code s.[pos + 1] lsl 16)
+  lor (Char.code s.[pos + 2] lsl 8)
+  lor Char.code s.[pos + 3]
+
 (* The native encoder's writer: a growable [Bytes.t] with an inlined
    LEB128 loop. [Buffer]'s per-char bounds checks and the closure-heavy
    recursion in {!put_uvarint} cost real time at millions of varints per
@@ -311,12 +327,7 @@ let decode_native data =
   if not (has_magic_at data 0) then Error "not a PTB1 file"
   else decode_native_region data ~pos:0 ~len:(String.length data)
 
-let decode_region data ~pos ~len =
-  Result.map Arena.to_collection (decode_native_region data ~pos ~len)
-
-let decode data =
-  if not (has_magic_at data 0) then Error "not a PTB1 file"
-  else decode_region data ~pos:0 ~len:(String.length data)
+let decode data = Result.map Arena.to_collection (decode_native data)
 
 let save collection ~path =
   let oc = open_out_bin path in

@@ -20,9 +20,10 @@ val magic : string
 
 (** {1 Codec primitives}
 
-    Shared with the other PT binary formats (the bundle's path table):
-    unsigned LEB128 varints, zigzag-encoded signed varints,
-    length-prefixed strings, and a bounds-checked reader whose [Corrupt]
+    Shared with the other PT binary formats (agent frames, store
+    segments, the bundle container and its path table): unsigned LEB128
+    varints, zigzag-encoded signed varints, length-prefixed strings,
+    big-endian u32 lengths, and a bounds-checked reader whose [Corrupt]
     errors carry offsets absolute within [data]. *)
 
 exception Corrupt of int * string
@@ -32,6 +33,13 @@ type reader = { data : string; mutable pos : int; limit : int }
 val put_uvarint : Buffer.t -> int -> unit
 val put_varint : Buffer.t -> int -> unit
 val put_string : Buffer.t -> string -> unit
+
+val u32be : int -> string
+(** The low 32 bits of an int as 4 big-endian bytes. *)
+
+val read_u32be : string -> int -> int
+(** [read_u32be s pos] reads 4 big-endian bytes at [pos]; the caller
+    checks the bounds. *)
 
 val get_uvarint : reader -> int
 val get_varint : reader -> int
@@ -78,14 +86,8 @@ val decode_native : string -> (Arena.t list, string) result
     re-sorted; {!Arena.to_log} restores [Log] order when needed. *)
 
 val decode_native_region : string -> pos:int -> len:int -> (Arena.t list, string) result
-(** {!decode_native} for a payload embedded at [pos] (spanning [len])
-    inside a larger string; error offsets stay absolute within [data],
-    exactly as {!decode_region}. *)
-
-val decode_region : string -> pos:int -> len:int -> (Log.collection, string) result
-(** Decode a PTB1 payload embedded at [pos] (spanning [len] bytes) inside
-    a larger string — e.g. a segment inside a bundle container — without
-    copying it out. Every error offset is absolute within [data], so when
-    [data] is a whole container file the offsets are container-relative.
-    [decode data] is [decode_region data ~pos:0 ~len:(String.length data)]
-    modulo the friendlier whole-file magic message. *)
+(** {!decode_native} for a payload embedded at [pos] (spanning [len]
+    bytes) inside a larger string — e.g. a segment inside a bundle
+    container — without copying it out. Every error offset is absolute
+    within [data], so when [data] is a whole container file the offsets
+    are container-relative. *)

@@ -57,7 +57,11 @@ let config () =
   Correlator.config ~transform:o.S.transform ()
 
 let pack_logs ?roll_records ~path logs =
-  match Bundle.Pack.pack ?roll_records ~config:(config ()) ~source:(`Logs logs) ~path () with
+  match
+    Bundle.Pack.pack ?roll_records ~config:(config ())
+      ~source:(`Logs (Trace.Arena.of_collection logs))
+      ~path ()
+  with
   | Ok summary -> summary
   | Error e -> Alcotest.failf "pack: %s" e
 
@@ -133,7 +137,9 @@ let test_roundtrip_collection () =
   Alcotest.(check int) "summary records" (Log.total logs) summary.Bundle.Pack.records;
   Alcotest.(check bool)
     "embedded store reproduces the records" true
-    (collection_equal (Store.Query.merge [ logs ]) got)
+    (collection_equal
+       (List.sort (fun a b -> String.compare (Log.hostname a) (Log.hostname b)) logs)
+       (Trace.Arena.to_collection got))
 
 let test_roundtrip_paths_and_profiles () =
   let path, _ = Lazy.force control in
@@ -244,7 +250,7 @@ let test_links_survive_compaction () =
   with_dir @@ fun out_dir ->
   let logs = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:1024 ~dir:store_dir () in
-  Store.Writer.ingest writer logs;
+  Store.Writer.ingest_native writer (Trace.Arena.of_collection logs);
   let wstats = Store.Writer.close writer in
   Alcotest.(check bool) "multiple segments" true (wstats.Store.Writer.segments > 2);
   let pack_store path =
@@ -283,7 +289,7 @@ let test_query_matches_store () =
   with_dir @@ fun out_dir ->
   let logs = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:1024 ~dir:store_dir () in
-  Store.Writer.ingest writer logs;
+  Store.Writer.ingest_native writer (Trace.Arena.of_collection logs);
   ignore (Store.Writer.close writer);
   let path = Filename.concat out_dir "b.ptz" in
   (match Bundle.Pack.pack ~config:(config ()) ~source:(`Store_dir store_dir) ~path () with
@@ -295,10 +301,12 @@ let test_query_matches_store () =
   let mid_ns = Simnet.Sim_time.to_ns mid.Activity.timestamp in
   let predicate = Store.Query.predicate ~since_ns:mid_ns () in
   let from_bundle, bstats = ok "bundle query" (Bundle.Reader.query r predicate) in
-  let from_store, sstats = ok "store query" (Store.Query.run ~dir:store_dir predicate) in
+  let from_store, sstats = ok "store query" (Store.Query.run_native ~dir:store_dir predicate) in
   Alcotest.(check bool)
     "bundle query equals store query" true
-    (collection_equal from_store from_bundle);
+    (collection_equal
+       (Trace.Arena.to_collection from_store)
+       (Trace.Arena.to_collection from_bundle));
   Alcotest.(check int)
     "same pruning" sstats.Store.Query.segments_scanned bstats.Store.Query.segments_scanned;
   Alcotest.(check bool)
@@ -351,24 +359,24 @@ let test_byte_flips_detected () =
 
 let test_decode_region_offsets () =
   let logs = (Lazy.force outcome).S.logs in
-  let _, seg = Store.Segment.encode ~id:0 ~policy:"none" logs in
+  let _, seg = Store.Segment.encode_native ~id:0 ~policy:"none" (Trace.Arena.of_collection logs) in
   let _meta, payload_pos, payload_len =
     ok "header" (Store.Segment.parse_header_at seg ~pos:0 ~len:(String.length seg) ~what:"seg")
   in
   (* Decoding at the true offset succeeds... *)
-  (match Trace.Binary_format.decode_region seg ~pos:payload_pos ~len:payload_len with
-  | Ok c -> Alcotest.(check int) "records" (Log.total logs) (Log.total c)
-  | Error e -> Alcotest.failf "decode_region: %s" e);
+  (match Trace.Binary_format.decode_native_region seg ~pos:payload_pos ~len:payload_len with
+  | Ok c -> Alcotest.(check int) "records" (Log.total logs) (Trace.Arena.total c)
+  | Error e -> Alcotest.failf "decode_native_region: %s" e);
   (* ...and every failure names an absolute offset inside the region. *)
   expect_offset_error "truncated region"
     (Result.map ignore
-       (Trace.Binary_format.decode_region
+       (Trace.Binary_format.decode_native_region
           (String.sub seg 0 (payload_pos + (payload_len / 2)))
           ~pos:payload_pos
           ~len:(payload_len / 2)));
   expect_offset_error "bad region bounds"
     (Result.map ignore
-       (Trace.Binary_format.decode_region seg ~pos:payload_pos ~len:(payload_len + 10)))
+       (Trace.Binary_format.decode_native_region seg ~pos:payload_pos ~len:(payload_len + 10)))
 
 (* ---- diff vs diagnose ---- *)
 
@@ -463,7 +471,9 @@ let test_config_and_telemetry_sections () =
   (match
      Bundle.Pack.pack
        ~telemetry:(Telemetry.Registry.snapshot reg)
-       ~scenario ~config:(config ()) ~source:(`Logs logs) ~path ()
+       ~scenario ~config:(config ())
+       ~source:(`Logs (Trace.Arena.of_collection logs))
+       ~path ()
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "pack: %s" e);

@@ -229,6 +229,35 @@ let prop_random_meshes_perfect =
       && s.verdict.false_positives = 0
       && s.result.Core.Correlator.deformed = [])
 
+(* What online correlation guarantees against the batch run: the same
+   paths, by id and in completion order, scored identically against the
+   oracle. Not vertex order: with concurrent fan-out, sibling vertices
+   can be committed in a different order live than in batch, so pattern
+   signatures of such paths may differ. *)
+let test_online_matches_batch_paths () =
+  let spec = Option.get (P.spec_of ~seed:201 "cascading_failure") in
+  let b, s = Runtime.run ~jobs:1 spec in
+  let transform = Core.Transform.config ~entry_points:b.Runtime.entries () in
+  let config = Core.Correlator.config ~transform ~window:(ST.ms 5) () in
+  let online =
+    Core.Online.create ~config ~hosts:b.Runtime.hostnames
+      ~telemetry:(Telemetry.Registry.create ())
+      ()
+  in
+  List.concat_map Trace.Log.to_list (Trace.Probe.logs b.Runtime.probe)
+  |> List.stable_sort Trace.Activity.compare_by_time
+  |> List.iter (Core.Online.observe online);
+  Core.Online.finish online;
+  let ids cags = List.map (fun (c : Core.Cag.t) -> c.Core.Cag.cag_id) cags in
+  let batch = s.Runtime.result.Core.Correlator.cags in
+  let live = Core.Online.paths online in
+  Alcotest.(check bool) "paths found" true (List.length batch > 10);
+  Alcotest.(check (list int)) "same path ids, same order" (ids batch) (ids live);
+  let verdict =
+    Core.Accuracy.check ~tolerance:(ST.ms 2) ~ground_truth:b.Runtime.gt live
+  in
+  Alcotest.(check bool) "identical accuracy verdicts" true (verdict = s.Runtime.verdict)
+
 let prop_presets_hold_across_seeds =
   QCheck.Test.make ~name:"presets stay above the gate floor at any seed" ~count:4
     QCheck.(int_range 1 10_000)
@@ -255,6 +284,8 @@ let () =
             test_thundering_herd;
           Alcotest.test_case "random presets correlate perfectly" `Quick
             test_random_presets_perfect;
+          Alcotest.test_case "online replay: batch path ids and verdicts" `Quick
+            test_online_matches_batch_paths;
         ] );
       ( "spec",
         [

@@ -35,6 +35,26 @@ let correlate_cfg () =
   let o = Lazy.force outcome in
   Correlator.config ~transform:o.S.transform ()
 
+(* The store speaks arenas; these adapters let the tests compare against
+   the record-list collections the scenarios produce. *)
+let arenas_of = Trace.Arena.of_collection
+let ingest writer collection = Store.Writer.ingest_native writer (arenas_of collection)
+
+let write_segment ~dir ~id ~policy collection =
+  Store.Segment.write_native ~dir ~id ~policy (arenas_of collection)
+
+let read_segment ~dir meta =
+  Result.map Trace.Arena.to_collection (Store.Segment.read_native ~dir meta)
+
+let query ~dir predicate =
+  Result.map
+    (fun (arenas, stats) -> (Trace.Arena.to_collection arenas, stats))
+    (Store.Query.run_native ~dir predicate)
+
+let reduce ~correlate ~policy collection =
+  let reduced, stats = Store.Reduce.apply ~correlate ~policy (arenas_of collection) in
+  (Trace.Arena.to_collection reduced, stats)
+
 let collection_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -83,7 +103,7 @@ let test_policy_defaults () =
 let test_segment_roundtrip () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
-  let meta = Store.Segment.write ~dir ~id:3 ~policy:"none" collection in
+  let meta = write_segment ~dir ~id:3 ~policy:"none" collection in
   Alcotest.(check int) "id" 3 meta.Store.Segment.id;
   Alcotest.(check string) "file" "seg-000003.pts" meta.file;
   Alcotest.(check int) "records" (Log.total collection) meta.records;
@@ -100,22 +120,22 @@ let test_segment_roundtrip () =
   (match Store.Segment.read_meta ~path:(Filename.concat dir meta.file) with
   | Ok m -> Alcotest.(check int) "header records" meta.records m.Store.Segment.records
   | Error e -> Alcotest.fail e);
-  match Store.Segment.read ~dir meta with
+  match read_segment ~dir meta with
   | Ok loaded -> Alcotest.(check bool) "payload identical" true (collection_equal collection loaded)
   | Error e -> Alcotest.fail e
 
 let test_segment_rejects_corruption () =
   with_dir @@ fun dir ->
-  let meta = Store.Segment.write ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
+  let meta = write_segment ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
   let path = Filename.concat dir meta.Store.Segment.file in
   let data = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub data 0 (String.length data - 3)));
-  (match Store.Segment.read ~dir meta with
+  (match read_segment ~dir meta with
   | Ok _ -> Alcotest.fail "truncated segment accepted"
   | Error _ -> ());
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "XXXX");
-  match Store.Segment.read ~dir meta with
+  match read_segment ~dir meta with
   | Ok _ -> Alcotest.fail "bad magic accepted"
   | Error _ -> ()
 
@@ -124,8 +144,8 @@ let test_segment_rejects_corruption () =
 let test_manifest_roundtrip () =
   with_dir @@ fun dir ->
   let m0 = Store.Manifest.empty in
-  let meta1 = Store.Segment.write ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
-  let meta2 = Store.Segment.write ~dir ~id:1 ~policy:"causal" (H.logs_of_request ()) in
+  let meta1 = write_segment ~dir ~id:0 ~policy:"none" (H.logs_of_request ()) in
+  let meta2 = write_segment ~dir ~id:1 ~policy:"causal" (H.logs_of_request ()) in
   let m = Store.Manifest.add (Store.Manifest.add m0 meta1) meta2 in
   Alcotest.(check int) "next id" 2 m.Store.Manifest.next_id;
   Store.Manifest.save m ~dir;
@@ -160,7 +180,7 @@ let test_writer_rolls_segments () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:500 ~dir () in
-  Store.Writer.ingest writer collection;
+  ingest writer collection;
   let stats = Store.Writer.close writer in
   Alcotest.(check bool)
     (Printf.sprintf "%d segments from %d records" stats.Store.Writer.segments
@@ -202,7 +222,7 @@ let test_ingest_native_unsorted_matches_sorted () =
   in
   with_dir @@ fun dir1 ->
   with_dir @@ fun dir2 ->
-  write_with dir1 (fun w -> Store.Writer.ingest w collection);
+  write_with dir1 (fun w -> ingest w collection);
   write_with dir2 (fun w ->
       let unsorted =
         List.map
@@ -219,7 +239,7 @@ let test_ingest_native_unsorted_matches_sorted () =
     (fun (name, b1) (_, b2) ->
       Alcotest.(check bool) (Printf.sprintf "%s byte-identical" name) true (String.equal b1 b2))
     files1 files2;
-  match Store.Query.run ~dir:dir2 Store.Query.all with
+  match query ~dir:dir2 Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       let by_host =
@@ -232,16 +252,24 @@ let test_query_native_matches_record_query () =
   with_dir @@ fun dir ->
   let collection = (Lazy.force outcome).S.logs in
   let writer = Store.Writer.create ~roll_records:700 ~dir () in
-  Store.Writer.ingest writer collection;
+  ingest writer collection;
   ignore (Store.Writer.close writer);
-  let predicate = Store.Query.predicate ~hosts:[ "web"; "db1" ] () in
-  match (Store.Query.run ~dir predicate, Store.Query.run_native ~dir predicate) with
-  | Ok (records, s1), Ok (arenas, s2) ->
+  let hosts = [ "web"; "db1" ] in
+  let predicate = Store.Query.predicate ~hosts () in
+  (* The record-list answer: the wanted hosts' logs, in hostname order. *)
+  let expected =
+    List.filter (fun log -> List.mem (Log.hostname log) hosts) collection
+    |> List.sort (fun a b -> String.compare (Log.hostname a) (Log.hostname b))
+  in
+  let manifest = match Store.Manifest.load ~dir with Ok m -> m | Error e -> failwith e in
+  match Store.Query.run_native ~dir predicate with
+  | Ok (arenas, stats) ->
       Alcotest.(check bool) "same collection" true
-        (collection_equal records (Trace.Arena.to_collection arenas));
-      Alcotest.(check int) "same segments scanned" s1.Store.Query.segments_scanned
-        s2.Store.Query.segments_scanned
-  | Error e, _ | _, Error e -> Alcotest.fail e
+        (collection_equal expected (Trace.Arena.to_collection arenas));
+      Alcotest.(check int) "scans the selected segments"
+        (List.length (Store.Query.select manifest predicate))
+        stats.Store.Query.segments_scanned
+  | Error e -> Alcotest.fail e
 
 let test_writer_requires_correlate () =
   with_dir @@ fun dir ->
@@ -259,9 +287,9 @@ let test_roundtrip_fidelity () =
   let o = Lazy.force outcome in
   let cfg = correlate_cfg () in
   let writer = Store.Writer.create ~roll_records:1000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   ignore (Store.Writer.close writer);
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       Alcotest.(check bool) "activities identical" true (collection_equal o.S.logs loaded);
@@ -298,7 +326,7 @@ let test_reduction_fidelity () =
     | Ok p -> p
     | Error e -> failwith e
   in
-  let reduced, stats = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  let reduced, stats = reduce ~correlate:cfg ~policy o.S.logs in
   let ratio = Store.Reduce.ratio stats in
   Alcotest.(check bool)
     (Printf.sprintf "byte reduction %.1fx >= 4x" ratio)
@@ -317,7 +345,7 @@ let test_reduction_keeps_whole_requests () =
     | Ok p -> p
     | Error e -> failwith e
   in
-  let reduced, stats = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  let reduced, stats = reduce ~correlate:cfg ~policy o.S.logs in
   let result = Correlator.correlate cfg reduced in
   (* Whole causal paths survive or vanish: no orphaned halves, so the
      reduced trace correlates with zero deformed CAGs and exactly the kept
@@ -332,8 +360,8 @@ let test_reduction_deterministic () =
   let policy =
     match Store.Policy.of_string "sample=0.3@9" with Ok p -> p | Error e -> failwith e
   in
-  let r1, s1 = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
-  let r2, s2 = Store.Reduce.apply ~correlate:cfg ~policy o.S.logs in
+  let r1, s1 = reduce ~correlate:cfg ~policy o.S.logs in
+  let r2, s2 = reduce ~correlate:cfg ~policy o.S.logs in
   Alcotest.(check int) "same kept" s1.Store.Reduce.requests_kept s2.Store.Reduce.requests_kept;
   Alcotest.(check bool) "same survivors" true (collection_equal r1 r2)
 
@@ -344,7 +372,7 @@ let test_reduction_head_and_boundaries () =
     let policy =
       match Store.Policy.of_string s with Ok p -> p | Error e -> failwith e
     in
-    Store.Reduce.apply ~correlate:cfg ~policy o.S.logs
+    reduce ~correlate:cfg ~policy o.S.logs
   in
   let _, head = apply "head=10" in
   Alcotest.(check int) "head keeps 10" 10 head.Store.Reduce.requests_kept;
@@ -359,7 +387,7 @@ let test_reduction_head_and_boundaries () =
 let store_of_run dir =
   let o = Lazy.force outcome in
   let writer = Store.Writer.create ~roll_records:1000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   ignore (Store.Writer.close writer)
 
 let test_query_prunes_segments () =
@@ -379,7 +407,7 @@ let test_query_prunes_segments () =
       ~until_ns:(min_ts + (span * 55 / 100))
       ()
   in
-  match Store.Query.run ~dir narrow with
+  match query ~dir narrow with
   | Error e -> Alcotest.fail e
   | Ok (logs, stats) ->
       Alcotest.(check bool)
@@ -407,12 +435,12 @@ let test_query_boundary_inclusive () =
   let mk ts = H.act ~kind:Activity.Send ~ts ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:10 in
   let seg_a = [ Log.of_list ~hostname:"web" [ mk 100; mk 200 ] ] in
   let seg_b = [ Log.of_list ~hostname:"web" [ mk 200; mk 300 ] ] in
-  let meta_a = Store.Segment.write ~dir ~id:0 ~policy:"none" seg_a in
-  let meta_b = Store.Segment.write ~dir ~id:1 ~policy:"none" seg_b in
+  let meta_a = write_segment ~dir ~id:0 ~policy:"none" seg_a in
+  let meta_b = write_segment ~dir ~id:1 ~policy:"none" seg_b in
   Store.Manifest.save
     (Store.Manifest.add (Store.Manifest.add Store.Manifest.empty meta_a) meta_b)
     ~dir;
-  match Store.Query.run ~dir (Store.Query.predicate ~since_ns:200 ~until_ns:200 ()) with
+  match query ~dir (Store.Query.predicate ~since_ns:200 ~until_ns:200 ()) with
   | Error e -> Alcotest.fail e
   | Ok (logs, stats) ->
       Alcotest.(check int) "both segments scanned" 2 stats.Store.Query.segments_scanned;
@@ -427,7 +455,7 @@ let test_query_boundary_inclusive () =
 let test_query_host_filter () =
   with_dir @@ fun dir ->
   store_of_run dir;
-  match Store.Query.run ~dir (Store.Query.predicate ~hosts:[ "db1" ] ()) with
+  match query ~dir (Store.Query.predicate ~hosts:[ "db1" ] ()) with
   | Error e -> Alcotest.fail e
   | Ok (logs, _) ->
       Alcotest.(check (list string)) "only db1" [ "db1" ] (List.map Log.hostname logs);
@@ -439,7 +467,7 @@ let test_compaction_equivalence () =
   with_dir @@ fun dir ->
   store_of_run dir;
   let before =
-    match Store.Query.run ~dir Store.Query.all with
+    match query ~dir Store.Query.all with
     | Ok (logs, _) -> logs
     | Error e -> failwith e
   in
@@ -459,7 +487,7 @@ let test_compaction_equivalence () =
   let ids = List.map (fun (s : Store.Segment.meta) -> s.Store.Segment.id) m1.segments in
   Alcotest.(check int) "ids unique" (List.length ids)
     (List.length (List.sort_uniq compare ids));
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (after, _) ->
       Alcotest.(check bool) "query result unchanged" true (collection_equal before after)
@@ -500,11 +528,11 @@ let test_writer_with_reduction () =
     | Error e -> failwith e
   in
   let writer = Store.Writer.create ~policy ~correlate:cfg ~roll_records:2000 ~dir () in
-  Store.Writer.ingest writer o.S.logs;
+  ingest writer o.S.logs;
   let stats = Store.Writer.close writer in
   Alcotest.(check bool) "records reduced" true (stats.Store.Writer.records_out < stats.records_in);
   Alcotest.(check bool) "bytes reduced" true (stats.Store.Writer.bytes_out < stats.bytes_in);
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (reduced, _) ->
       (* Per-batch reduction's one caveat (see writer.mli): a request
@@ -541,7 +569,7 @@ let test_online_tee () =
   ignore (Store.Writer.close writer);
   (* The store captured the raw feed: querying it back returns exactly the
      original collection, while the online run correlated the same feed. *)
-  match Store.Query.run ~dir Store.Query.all with
+  match query ~dir Store.Query.all with
   | Error e -> Alcotest.fail e
   | Ok (loaded, _) ->
       Alcotest.(check bool) "store holds the raw feed" true
