@@ -8,6 +8,8 @@
      IDs: accuracy 8 9 10 11 12 13 14 15 16 17 baseline loss micro store
           degraded collect hierarchy mesh parallel diagnose bundle all
    --jobs adds an extra domain count to the parallel figure's 1/2/4 grid.
+   An unknown figure, argument or telemetry format, or a value that does
+   not parse as a number, exits 2 before any figure runs.
    Default: everything, at time_scale 0.1 (stage durations shrunk 10x;
    service times, think times and all rates untouched, so shapes match the
    paper's full-length runs).
@@ -1874,6 +1876,17 @@ let resolve = function
   | "13" -> Some ("12", bench_fig12_13)
   | id -> List.find_opt (fun (name, _) -> String.equal name id) all_figures
 
+(* A bad command line stops the harness before any figure runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let number what of_string s =
+  match of_string s with Some v -> v | None -> usage_error "%s expects a number, got %S" what s
+
 let () =
   let selected = ref [] in
   let rec parse = function
@@ -1882,16 +1895,16 @@ let () =
         (match resolve id with
         | Some f -> selected := f :: !selected
         | None when String.equal id "all" -> selected := List.rev all_figures @ !selected
-        | None -> Printf.eprintf "unknown figure %S\n" id);
+        | None -> usage_error "unknown figure %S" id);
         parse rest
     | "--scale" :: s :: rest ->
-        time_scale := float_of_string s;
+        time_scale := number "--scale" float_of_string_opt s;
         parse rest
     | "--quick" :: rest ->
         quick := true;
         parse rest
     | "--jobs" :: j :: rest ->
-        jobs_override := Some (max 1 (int_of_string j));
+        jobs_override := Some (max 1 (number "--jobs" int_of_string_opt j));
         parse rest
     | "--telemetry" :: file :: rest ->
         telemetry_out := Some file;
@@ -1913,11 +1926,9 @@ let () =
         | "prom" -> telemetry_format := `Prom
         | "json" -> telemetry_format := `Json
         | "report" -> telemetry_format := `Report
-        | _ -> Printf.eprintf "unknown telemetry format %S (prom|json|report)\n" fmt);
+        | _ -> usage_error "unknown telemetry format %S (prom|json|report)" fmt);
         parse rest
-    | arg :: rest ->
-        Printf.eprintf "unknown argument %S\n" arg;
-        parse rest
+    | arg :: _ -> usage_error "unknown argument %S" arg
   in
   parse (List.tl (Array.to_list Sys.argv));
   let figures =

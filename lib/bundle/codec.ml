@@ -1,6 +1,3 @@
-module Activity = Trace.Activity
-module Address = Simnet.Address
-module Sim_time = Simnet.Sim_time
 module B = Trace.Binary_format
 module Cag = Core.Cag
 module Pattern = Core.Pattern
@@ -8,255 +5,49 @@ module Aggregate = Core.Aggregate
 module Latency = Core.Latency
 module Json = Core.Json
 
-let magic = "PTP1"
-
 type path = { cag : Cag.t; links : (int * int) list array }
 type decoded = { link_hosts : string array; paths : path list }
 
-let kind_code = function
-  | Activity.Begin -> 0
-  | Activity.Send -> 1
-  | Activity.End_ -> 2
-  | Activity.Receive -> 3
+(* ---- the links section ---- *)
 
-let kind_of_code pos = function
-  | 0 -> Activity.Begin
-  | 1 -> Activity.Send
-  | 2 -> Activity.End_
-  | 3 -> Activity.Receive
-  | c -> raise (B.Corrupt (pos, Printf.sprintf "bad kind code %d" c))
-
-let edge_code = function Cag.Context_edge -> 0 | Cag.Message_edge -> 1
-
-let edge_of_code pos = function
-  | 0 -> Cag.Context_edge
-  | 1 -> Cag.Message_edge
-  | c -> raise (B.Corrupt (pos, Printf.sprintf "bad edge code %d" c))
-
-(* ---- encoding ---- *)
-
-(* Same interning discipline as PTB1: strings, contexts and flows repeat
-   across most vertices, so each vertex carries small table indices. The
-   vertex list of a CAG is its causal order; local vertex ids are list
-   positions, and parent references are backward deltas. *)
-let encode ~link_hosts paths =
-  let buf = Buffer.create 65_536 in
-  Buffer.add_string buf magic;
-  let strings = Hashtbl.create 32 in
-  let rev_strings = ref [] in
-  let intern_string s =
-    match Hashtbl.find_opt strings s with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length strings in
-        Hashtbl.replace strings s i;
-        rev_strings := s :: !rev_strings;
-        i
-  in
-  let contexts = Hashtbl.create 64 in
-  let rev_contexts = ref [] in
-  let intern_context (c : Activity.context) =
-    let key = (c.Activity.host, c.program, c.pid, c.tid) in
-    match Hashtbl.find_opt contexts key with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length contexts in
-        Hashtbl.replace contexts key i;
-        rev_contexts := c :: !rev_contexts;
-        i
-  in
-  let flows = Address.Flow_table.create 64 in
-  let rev_flows = ref [] in
-  let intern_flow f =
-    match Address.Flow_table.find_opt flows f with
-    | Some i -> i
-    | None ->
-        let i = Address.Flow_table.length flows in
-        Address.Flow_table.replace flows f i;
-        rev_flows := f :: !rev_flows;
-        i
-  in
-  List.iter
-    (fun { cag; _ } ->
-      List.iter
-        (fun (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          ignore (intern_string a.Activity.context.host);
-          ignore (intern_string a.Activity.context.program);
-          ignore (intern_context a.Activity.context);
-          ignore (intern_flow a.Activity.message.flow))
-        (Cag.vertices cag))
-    paths;
-  B.put_uvarint buf (Hashtbl.length strings);
-  List.iter (B.put_string buf) (List.rev !rev_strings);
-  B.put_uvarint buf (Hashtbl.length contexts);
-  List.iter
-    (fun (c : Activity.context) ->
-      B.put_uvarint buf (intern_string c.Activity.host);
-      B.put_uvarint buf (intern_string c.program);
-      B.put_uvarint buf c.pid;
-      B.put_uvarint buf c.tid)
-    (List.rev !rev_contexts);
-  B.put_uvarint buf (Address.Flow_table.length flows);
-  List.iter
-    (fun (f : Address.flow) ->
-      B.put_uvarint buf (Address.ip_to_int f.src.ip);
-      B.put_uvarint buf f.src.port;
-      B.put_uvarint buf (Address.ip_to_int f.dst.ip);
-      B.put_uvarint buf f.dst.port)
-    (List.rev !rev_flows);
-  B.put_uvarint buf (Array.length link_hosts);
-  Array.iter (fun h -> B.put_uvarint buf (intern_string h)) link_hosts;
-  B.put_uvarint buf (List.length paths);
+(* The paths are the shard-to-root message verbatim; the links section
+   carries what PTH1 deliberately leaves out. It has no path or vertex
+   counts of its own: the rows follow the PTH1 message's paths and each
+   path's causal vertex order, so the two sections must agree. *)
+let encode_links ~link_hosts paths =
+  let buf = Buffer.create 16_384 in
+  let n_hosts = Array.length link_hosts in
+  B.put_uvarint buf n_hosts;
+  Array.iter (B.put_string buf) link_hosts;
   List.iter
     (fun { cag; links } ->
-      let vertices = Cag.vertices cag in
-      let local = Hashtbl.create 16 in
-      List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace local v.Cag.vid i) vertices;
-      B.put_uvarint buf cag.Cag.cag_id;
-      let flags =
-        (if Cag.is_finished cag then 1 else 0) lor if Cag.is_deformed cag then 2 else 0
-      in
-      B.put_uvarint buf flags;
-      B.put_uvarint buf (List.length vertices);
-      let prev_ts = ref 0 in
-      List.iteri
-        (fun i (v : Cag.vertex) ->
-          let a = v.Cag.activity in
-          B.put_uvarint buf (kind_code a.Activity.kind);
-          let ts = Sim_time.to_ns a.timestamp in
-          B.put_varint buf (ts - !prev_ts);
-          prev_ts := ts;
-          B.put_uvarint buf (intern_context a.context);
-          B.put_uvarint buf (intern_flow a.message.flow);
-          B.put_uvarint buf a.message.size;
-          (* parents in addition order, as backward position deltas *)
-          let parents = List.rev v.Cag.parents in
-          B.put_uvarint buf (List.length parents);
+      if Array.length links <> Cag.size cag then
+        invalid_arg "Codec.encode_links: link rows differ from the path's vertex count";
+      Array.iter
+        (fun row ->
+          B.put_uvarint buf (List.length row);
           List.iter
-            (fun (kind, (p : Cag.vertex)) ->
-              B.put_uvarint buf (edge_code kind);
-              B.put_uvarint buf (i - Hashtbl.find local p.Cag.vid))
-            parents;
-          let vlinks = if i < Array.length links then links.(i) else [] in
-          B.put_uvarint buf (List.length vlinks);
-          List.iter
-            (fun (h, r) ->
-              B.put_uvarint buf h;
-              B.put_uvarint buf r)
-            vlinks)
-        vertices)
+            (fun (host, record) ->
+              if host < 0 || host >= n_hosts then
+                invalid_arg "Codec.encode_links: link host index out of range";
+              B.put_uvarint buf host;
+              B.put_uvarint buf record)
+            row)
+        links)
     paths;
   Buffer.contents buf
 
-(* ---- decoding ---- *)
-
-(* [pos]/[len] delimit the paths section inside [data] (the whole bundle
-   string), so [B.Corrupt] offsets — and hence the error messages — are
-   bundle-relative. *)
-let decode data ~pos ~len =
-  if pos < 0 || len < 4 || pos + len > String.length data then
-    Error (Printf.sprintf "corrupt at offset %d: bad paths section region" pos)
-  else if not (String.equal (String.sub data pos 4) magic) then
-    Error (Printf.sprintf "corrupt at offset %d: no PTP1 magic" pos)
-  else begin
-    let r = { B.data; pos = pos + 4; limit = pos + len } in
-    try
-      let string_count = B.get_count r "string table" in
-      let strings = Array.init string_count (fun _ -> B.get_string r) in
-      let lookup_string i =
-        if i < 0 || i >= string_count then
-          raise (B.Corrupt (r.B.pos, "string index out of range"));
-        strings.(i)
+let decode_links data ~pos ~len cags =
+  B.decode_region data ~pos ~len (fun r ->
+      let n_hosts = B.get_count r "link host table" in
+      let link_hosts = Array.init n_hosts (fun _ -> B.get_string r) in
+      let row _ =
+        List.init (B.get_count r "link") (fun _ ->
+            let host = B.get_index r n_hosts "link host" in
+            (host, B.get_uvarint r))
       in
-      let context_count = B.get_count r "context table" in
-      let contexts =
-        Array.init context_count (fun _ ->
-            let host = lookup_string (B.get_uvarint r) in
-            let program = lookup_string (B.get_uvarint r) in
-            let pid = B.get_uvarint r in
-            let tid = B.get_uvarint r in
-            { Activity.host; program; pid; tid })
-      in
-      let lookup_context i =
-        if i < 0 || i >= context_count then
-          raise (B.Corrupt (r.B.pos, "context index out of range"));
-        contexts.(i)
-      in
-      let flow_count = B.get_count r "flow table" in
-      let flows =
-        Array.init flow_count (fun _ ->
-            let src_ip = Address.ip_of_int (B.get_uvarint r) in
-            let src_port = B.get_uvarint r in
-            let dst_ip = Address.ip_of_int (B.get_uvarint r) in
-            let dst_port = B.get_uvarint r in
-            Address.flow
-              ~src:(Address.endpoint src_ip src_port)
-              ~dst:(Address.endpoint dst_ip dst_port))
-      in
-      let lookup_flow i =
-        if i < 0 || i >= flow_count then raise (B.Corrupt (r.B.pos, "flow index out of range"));
-        flows.(i)
-      in
-      let host_count = B.get_count r "link host table" in
-      let link_hosts = Array.init host_count (fun _ -> lookup_string (B.get_uvarint r)) in
-      let path_count = B.get_count r "path" in
-      let paths =
-        List.init path_count (fun _ ->
-            let cag_id = B.get_uvarint r in
-            let flags = B.get_uvarint r in
-            let vertex_count = B.get_count r "vertex" in
-            if vertex_count = 0 then raise (B.Corrupt (r.B.pos, "empty CAG"));
-            let vertices = Array.make vertex_count None in
-            let prev_ts = ref 0 in
-            let cag = ref None in
-            let links = Array.make vertex_count [] in
-            for i = 0 to vertex_count - 1 do
-              let kind = kind_of_code r.B.pos (B.get_uvarint r) in
-              let ts = !prev_ts + B.get_varint r in
-              prev_ts := ts;
-              let context = lookup_context (B.get_uvarint r) in
-              let flow = lookup_flow (B.get_uvarint r) in
-              let size = B.get_uvarint r in
-              let a =
-                { Activity.kind; timestamp = Sim_time.of_ns ts; context; message = { flow; size } }
-              in
-              let v = Cag.Builder.fresh_vertex a in
-              vertices.(i) <- Some v;
-              (match !cag with
-              | None -> cag := Some (Cag.Builder.create ~cag_id v)
-              | Some c -> Cag.Builder.adopt c v);
-              let parent_count = B.get_count r "parent" in
-              for _ = 1 to parent_count do
-                let kind = edge_of_code r.B.pos (B.get_uvarint r) in
-                let delta = B.get_uvarint r in
-                if delta < 1 || delta > i then
-                  raise (B.Corrupt (r.B.pos, "parent reference out of range"));
-                match vertices.(i - delta) with
-                | Some parent -> Cag.Builder.add_edge kind ~parent ~child:v
-                | None -> raise (B.Corrupt (r.B.pos, "parent reference out of range"))
-              done;
-              let link_count = B.get_count r "link" in
-              links.(i) <-
-                List.init link_count (fun _ ->
-                    let h = B.get_uvarint r in
-                    if h >= host_count then
-                      raise (B.Corrupt (r.B.pos, "link host index out of range"));
-                    let idx = B.get_uvarint r in
-                    (h, idx))
-            done;
-            let cag = Option.get !cag in
-            if flags land 1 <> 0 then Cag.Builder.finish cag;
-            if flags land 2 <> 0 then Cag.Builder.mark_deformed cag;
-            { cag; links })
-      in
-      if r.B.pos <> r.B.limit then
-        Error (Printf.sprintf "corrupt at offset %d: trailing garbage in paths section" r.B.pos)
-      else Ok { link_hosts; paths }
-    with
-    | B.Corrupt (p, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" p msg)
-    | Invalid_argument msg -> Error (Printf.sprintf "corrupt at offset %d: %s" r.B.pos msg)
-  end
+      let paths = List.map (fun cag -> { cag; links = Array.init (Cag.size cag) row }) cags in
+      { link_hosts; paths })
 
 (* ---- pattern profiles ---- *)
 

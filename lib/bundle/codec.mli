@@ -1,13 +1,22 @@
-(** Bundle payload codecs: the [PTP1] causal-path table and the pattern
-    profile JSON.
+(** Bundle payload codecs: the causal paths with their back-links, and
+    the pattern profile JSON.
 
-    The path table serialises every correlated CAG with stable ids and a
-    {e back-link table}: per vertex, the [(host, record)] coordinates of
-    the raw activity records that produced it, where [host] indexes
-    {!decoded.link_hosts} and [record] indexes that host's log in the
-    bundle's canonical record order ({!Reader.collection}). Every path
-    node in a bundle therefore resolves to the exact stored bytes behind
-    it — the micro end of the paper's §5.4 macro↔micro workflow. *)
+    A bundle's [paths] section is exactly a PTH1 message
+    ({!Core.Hierarchy.encode_paths}) over the correlated CAGs. Its
+    [links] section holds the {e back-link table} PTH1 leaves out: per
+    vertex, the [(host, record)] coordinates of the raw activity records
+    that produced it, where [host] indexes {!decoded.link_hosts} and
+    [record] indexes that host's log in the bundle's canonical record
+    order ({!Reader.collection}). Every path node in a bundle therefore
+    resolves to the exact stored bytes behind it — the micro end of the
+    paper's §5.4 macro↔micro workflow.
+
+    {v
+    links section:
+    nhost  uvarint, then nhost host names (uvarint length + bytes)
+    then, per path in PTH1 order and per vertex in causal order:
+           nlink uvarint, then nlink of: host-index record-index (uvarint)
+    v} *)
 
 type path = {
   cag : Core.Cag.t;
@@ -18,19 +27,20 @@ type path = {
 
 type decoded = { link_hosts : string array; paths : path list }
 
-val magic : string
-(** ["PTP1"], the section's inner magic. *)
+val encode_links : link_hosts:string array -> path list -> string
+(** The [links] section body; the [paths] section is
+    {!Core.Hierarchy.encode_paths} of the same paths' CAGs, in the same
+    order. Deterministic.
+    @raise Invalid_argument if a path's link rows do not match its
+    vertices or a link names a host outside [link_hosts]. *)
 
-val encode : link_hosts:string array -> path list -> string
-(** Deterministic: interning tables are filled in traversal order, no
-    wall-clock enters the payload. *)
-
-val decode : string -> pos:int -> len:int -> (decoded, string) result
-(** Decode the section at [pos]/[len] inside the bundle string, rebuilding
-    real {!Core.Cag.t} values via [Cag.Builder] (graph shape, flags and
-    ids round-trip exactly; patterns and latency breakdowns computed from
-    the decoded CAGs are identical to the live run's). All errors name
-    bundle-relative offsets. *)
+val decode_links :
+  string -> pos:int -> len:int -> Core.Cag.t list -> (decoded, string) result
+(** Attach the [links] section at [pos] (spanning [len] bytes) inside the
+    bundle string to the CAGs decoded from its [paths] section
+    ({!Core.Hierarchy.decode_paths}). The section must supply exactly
+    one row per vertex, and every host index must be in range. Errors
+    read [corrupt at offset N: reason] with bundle-relative offsets. *)
 
 (** {1 Pattern profiles} *)
 

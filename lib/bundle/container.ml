@@ -1,4 +1,5 @@
 module Json = Core.Json
+module B = Trace.Binary_format
 
 let magic = "PTZ1"
 
@@ -13,22 +14,6 @@ let rec sort_json = function
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
   | Json.List items -> Json.List (List.map sort_json items)
   | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _) as j -> j
-
-(* ---- fixed-width integers ---- *)
-
-let u64be n =
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr ((n lsr ((7 - i) * 8)) land 0xff))
-  done;
-  Bytes.to_string b
-
-let read_u64be s pos =
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code s.[pos + i]
-  done;
-  !v
 
 (* ---- crc32 (IEEE 802.3, the zlib polynomial) ---- *)
 
@@ -75,13 +60,11 @@ let assemble ~manifest_extra sections =
   let manifest_str = Json.to_string ~indent:true manifest in
   let buf = Buffer.create 65_536 in
   Buffer.add_string buf magic;
-  Buffer.add_string buf (Trace.Binary_format.u32be (String.length manifest_str));
-  Buffer.add_string buf manifest_str;
+  B.put_string32 buf manifest_str;
   List.iter
     (fun (name, body) ->
-      Buffer.add_string buf (Trace.Binary_format.u32be (String.length name));
-      Buffer.add_string buf name;
-      Buffer.add_string buf (u64be (String.length body));
+      B.put_string32 buf name;
+      B.put_u64be buf (String.length body);
       Buffer.add_string buf body)
     sections;
   Buffer.contents buf
@@ -90,7 +73,7 @@ let assemble ~manifest_extra sections =
 
 let ( let* ) = Result.bind
 
-let manifest_sections ~what manifest =
+let manifest_sections manifest =
   match Json.member "sections" manifest with
   | Some (Json.List items) ->
       List.fold_left
@@ -99,88 +82,43 @@ let manifest_sections ~what manifest =
           match (Json.member "name" item, Json.member "bytes" item, Json.member "crc32" item) with
           | Some (Json.String name), Some (Json.Int bytes), Some (Json.Int crc) ->
               Ok ((name, bytes, crc) :: acc)
-          | _ -> Error (Printf.sprintf "%s: malformed section entry in bundle manifest" what))
+          | _ -> Error "malformed section entry in bundle manifest")
         (Ok []) items
       |> Result.map List.rev
-  | _ -> Error (Printf.sprintf "%s: bundle manifest has no section table" what)
+  | _ -> Error "bundle manifest has no section table"
 
+(* Read the manifest, then exactly the frames it declares, in order; the
+   runner rejects any bytes after the last one. *)
 let parse ~what data =
-  let len = String.length data in
-  if len < 8 || not (String.equal (String.sub data 0 4) magic) then
-    Error (Printf.sprintf "%s: not a PTZ1 bundle at offset 0" what)
-  else begin
-    let manifest_len = Trace.Binary_format.read_u32be data 4 in
-    if manifest_len < 0 || 8 + manifest_len > len then
-      Error (Printf.sprintf "%s: truncated bundle manifest at offset 4" what)
-    else
-      match Json.of_string (String.sub data 8 manifest_len) with
-      | Error e -> Error (Printf.sprintf "%s: bad bundle manifest at offset 8: %s" what e)
-      | Ok manifest -> (
-          let* declared = manifest_sections ~what manifest in
-          (* Walk the frames, checking each against the declaration. *)
-          let rec frames acc declared pos =
-            if pos = len then
-              match declared with
-              | [] -> Ok (List.rev acc)
-              | (name, _, _) :: _ ->
-                  Error
-                    (Printf.sprintf "%s: section %S declared but missing at offset %d" what name
-                       pos)
-            else if len - pos < 4 then
-              Error (Printf.sprintf "%s: truncated section header at offset %d" what pos)
-            else begin
-              let name_len = Trace.Binary_format.read_u32be data pos in
-              if name_len < 0 || name_len > len - pos - 4 then
-                Error (Printf.sprintf "%s: section name overruns input at offset %d" what pos)
-              else begin
-                let name = String.sub data (pos + 4) name_len in
-                let body_len_at = pos + 4 + name_len in
-                if len - body_len_at < 8 then
-                  Error
-                    (Printf.sprintf "%s: truncated section length at offset %d" what body_len_at)
-                else begin
-                  let body_len = read_u64be data body_len_at in
-                  let body_at = body_len_at + 8 in
-                  if body_len < 0 || body_len > len - body_at then
-                    Error
-                      (Printf.sprintf "%s: section %S body overruns input at offset %d" what name
-                         body_at)
-                  else
-                    match declared with
-                    | [] ->
-                        Error
-                          (Printf.sprintf "%s: undeclared section %S at offset %d" what name pos)
-                    | (dname, dbytes, dcrc) :: declared ->
-                        if not (String.equal dname name) then
-                          Error
-                            (Printf.sprintf
-                               "%s: section %S at offset %d where manifest declares %S" what name
-                               pos dname)
-                        else if dbytes <> body_len then
-                          Error
-                            (Printf.sprintf
-                               "%s: section %S at offset %d is %d bytes, manifest declares %d"
-                               what name pos body_len dbytes)
-                        else begin
-                          let crc = crc32 ~pos:body_at ~len:body_len data in
-                          if crc <> dcrc then
-                            Error
-                              (Printf.sprintf
-                                 "%s: section %S fails checksum at offset %d (crc32 %08x, \
-                                  manifest declares %08x)"
-                                 what name body_at crc dcrc)
-                          else
-                            frames
-                              ({ name; pos = body_at; len = body_len } :: acc)
-                              declared (body_at + body_len)
-                        end
-                end
-              end
-            end
-          in
-          match frames [] declared (8 + manifest_len) with
-          | Error e -> Error e
-          | Ok sections -> Ok (manifest, sections))
-  end
+  Result.map_error (fun e -> Printf.sprintf "%s: %s" what e)
+  @@ B.decode_region ~magic data ~pos:0 ~len:(String.length data) (fun r ->
+         let corrupt at fmt = Printf.ksprintf (fun msg -> raise (B.Corrupt (at, msg))) fmt in
+         let manifest_at = r.B.pos + 4 in
+         let manifest =
+           match Json.of_string (B.get_string32 r) with
+           | Ok j -> j
+           | Error e -> corrupt manifest_at "bad bundle manifest: %s" e
+         in
+         let declared =
+           match manifest_sections manifest with Ok d -> d | Error e -> corrupt manifest_at "%s" e
+         in
+         let frame (dname, dbytes, dcrc) =
+           let at = r.B.pos in
+           if at = r.B.limit then corrupt at "section %S declared but missing" dname;
+           let name = B.get_string32 r in
+           if not (String.equal name dname) then
+             corrupt at "section %S where manifest declares %S" name dname;
+           let len = B.get_u64be r in
+           if len <> dbytes then
+             corrupt at "section %S is %d bytes, manifest declares %d" name len dbytes;
+           let pos = B.skip r len "section body" in
+           let crc = crc32 ~pos ~len data in
+           if crc <> dcrc then
+             corrupt pos "section %S fails checksum (crc32 %08x, manifest declares %08x)" name crc
+               dcrc;
+           { name; pos; len }
+         in
+         let sections = List.rev (List.fold_left (fun acc d -> frame d :: acc) [] declared) in
+         (manifest, sections))
 
 let find sections name = List.find_opt (fun s -> String.equal s.name name) sections

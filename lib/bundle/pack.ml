@@ -286,7 +286,8 @@ let pack ?telemetry ?scenario ?jobs ?roll_records ~config ~source ~path () =
           (fun ((meta : Store.Segment.meta), data) -> (section_of_segment meta.Store.Segment.id, data))
           segments
       @ [
-          ("paths", Codec.encode ~link_hosts:hosts paths);
+          ("paths", Core.Hierarchy.encode_paths cags);
+          ("links", Codec.encode_links ~link_hosts:hosts paths);
           ("patterns", json_body (Codec.profiles_to_json profiles));
         ]
       @

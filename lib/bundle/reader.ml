@@ -15,13 +15,13 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let section_json t section =
-  match Json.of_string (String.sub t.data section.Container.pos section.Container.len) with
-  | Ok j -> Ok j
-  | Error e ->
-      Error
-        (Printf.sprintf "%s: bad %S section at offset %d: %s" t.display section.Container.name
-           section.Container.pos e)
+(* A JSON section read through [of_json]; errors name its offset. *)
+let section_json t (s : Container.section) of_json =
+  Result.map_error
+    (fun e ->
+      Printf.sprintf "%s: corrupt at offset %d: %S section: %s" t.display s.Container.pos
+        s.Container.name e)
+    (Result.bind (Json.of_string (String.sub t.data s.Container.pos s.Container.len)) of_json)
 
 let require t name =
   match Container.find t.sections name with
@@ -44,14 +44,7 @@ let of_string ?(display = "<bundle>") data =
     }
   in
   let* sm_section = require t0 "store/manifest" in
-  let* sm_json = section_json t0 sm_section in
-  let* store_manifest =
-    Result.map_error
-      (fun e ->
-        Printf.sprintf "%s: %S section at offset %d: %s" display "store/manifest"
-          sm_section.Container.pos e)
-      (Store.Manifest.of_json sm_json)
-  in
+  let* store_manifest = section_json t0 sm_section Store.Manifest.of_json in
   Ok { t0 with store_manifest }
 
 let open_file path =
@@ -73,7 +66,7 @@ let summary_json t = Json.member "summary" t.manifest
 let config t =
   match Container.find t.sections "config" with
   | None -> Ok None
-  | Some s -> Result.map (fun j -> Some j) (section_json t s)
+  | Some s -> Result.map Option.some (section_json t s Result.ok)
 
 let read_segment t (meta : Store.Segment.meta) =
   let name = Printf.sprintf "segments/%06d" meta.Store.Segment.id in
@@ -111,11 +104,16 @@ let paths t =
   match t.decoded_paths with
   | Some d -> Ok d
   | None ->
-      let* s = require t "paths" in
+      let section_error what e = Printf.sprintf "%s: %s section: %s" t.display what e in
+      let* p = require t "paths" in
+      let* cags =
+        Result.map_error (section_error "paths")
+          (Core.Hierarchy.decode_paths t.data ~pos:p.Container.pos ~len:p.Container.len)
+      in
+      let* l = require t "links" in
       let* d =
-        Result.map_error
-          (fun e -> Printf.sprintf "%s: paths section: %s" t.display e)
-          (Codec.decode t.data ~pos:s.Container.pos ~len:s.Container.len)
+        Result.map_error (section_error "links")
+          (Codec.decode_links t.data ~pos:l.Container.pos ~len:l.Container.len cags)
       in
       t.decoded_paths <- Some d;
       Ok d
@@ -125,14 +123,7 @@ let profiles t =
   | Some p -> Ok p
   | None ->
       let* s = require t "patterns" in
-      let* j = section_json t s in
-      let* p =
-        Result.map_error
-          (fun e ->
-            Printf.sprintf "%s: %S section at offset %d: %s" t.display "patterns"
-              s.Container.pos e)
-          (Codec.profiles_of_json j)
-      in
+      let* p = section_json t s Codec.profiles_of_json in
       t.profiles <- Some p;
       Ok p
 
@@ -140,14 +131,7 @@ let telemetry t =
   match Container.find t.sections "telemetry" with
   | None -> Ok None
   | Some s ->
-      let* j = section_json t s in
-      Result.map
-        (fun families -> Some families)
-        (Result.map_error
-           (fun e ->
-             Printf.sprintf "%s: %S section at offset %d: %s" t.display "telemetry"
-               s.Container.pos e)
-           (Telemetry.Export.of_json j))
+      Result.map Option.some (section_json t s Telemetry.Export.of_json)
 
 let host_logs t =
   match t.host_logs with

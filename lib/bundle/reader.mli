@@ -48,7 +48,8 @@ val query :
     directory-backed store query. *)
 
 val paths : t -> (Codec.decoded, string) result
-(** The correlated causal paths with their back-link table. Cached. *)
+(** The correlated causal paths (the PTH1 [paths] section) with their
+    back-link table (the [links] section). Cached. *)
 
 val profiles : t -> (Codec.profile list, string) result
 (** Pattern profiles, in {!Core.Pattern.classify} order (most frequent

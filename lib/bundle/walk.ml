@@ -80,8 +80,7 @@ let view reader ?cag_id ?pattern ?index () =
     List.iteri (fun i (v : Cag.vertex) -> Hashtbl.replace position v.Cag.vid i) vertices;
     let records_of v =
       let i = Hashtbl.find position v.Cag.vid in
-      let links = if i < Array.length path.Codec.links then path.Codec.links.(i) else [] in
-      let* resolved = Reader.resolve_links reader ~link_hosts links in
+      let* resolved = Reader.resolve_links reader ~link_hosts path.Codec.links.(i) in
       Ok (List.map (fun (host, index, activity) -> { host; index; activity }) resolved)
     in
     let duration_ns = Sim_time.span_ns (Cag.duration cag) in

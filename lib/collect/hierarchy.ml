@@ -225,7 +225,9 @@ let finish t =
                let dfm = Core.Online.deformed sh.online in
                let message = Core.Hierarchy.encode_paths (fin @ dfm) in
                let decoded =
-                 match Core.Hierarchy.decode_paths message with
+                 match
+                   Core.Hierarchy.decode_paths message ~pos:0 ~len:(String.length message)
+                 with
                  | Ok cags -> cags
                  | Error e ->
                      failwith

@@ -204,136 +204,81 @@ let encode_paths cags =
   Buffer.contents buf
 
 let get_byte r what =
-  if r.B.pos >= r.B.limit then raise (B.Corrupt (r.B.pos, "truncated " ^ what));
-  let b = Char.code r.B.data.[r.B.pos] in
-  r.B.pos <- r.B.pos + 1;
-  b
+  let at = B.skip r 1 what in
+  Char.code r.B.data.[at]
 
-let decode_paths data =
-  let r = { B.data; pos = 0; limit = String.length data } in
-  match
-    String.iteri
-      (fun i ch ->
-        if r.B.pos >= r.B.limit || data.[r.B.pos] <> ch then
-          raise (B.Corrupt (r.B.pos, Printf.sprintf "bad magic (expected %S)" magic))
-        else r.B.pos <- i + 1)
-      magic;
-    let nstrings = B.get_count r "string table" in
-    let table =
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (B.get_string r :: acc) in
-      Array.of_list (go nstrings [])
-    in
-    let str i =
-      if i < 0 || i >= nstrings then raise (B.Corrupt (r.B.pos, "string id out of range"));
-      table.(i)
-    in
-    let nctx = B.get_count r "context table" in
-    let contexts =
-      let read_ctx () =
-        let host = str (B.get_uvarint r) in
-        let program = str (B.get_uvarint r) in
-        let pid = B.get_uvarint r in
-        let tid = B.get_uvarint r in
-        { Activity.host; program; pid; tid }
+let decode_paths data ~pos ~len =
+  B.decode_region ~magic data ~pos ~len (fun r ->
+      let nstrings = B.get_count r "string table" in
+      let strings = Array.init nstrings (fun _ -> B.get_string r) in
+      let nctx = B.get_count r "context table" in
+      let contexts =
+        Array.init nctx (fun _ ->
+            let host = strings.(B.get_index r nstrings "string") in
+            let program = strings.(B.get_index r nstrings "string") in
+            let pid = B.get_uvarint r in
+            let tid = B.get_uvarint r in
+            { Activity.host; program; pid; tid })
       in
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_ctx () :: acc) in
-      Array.of_list (go nctx [])
-    in
-    let nflows = B.get_count r "flow table" in
-    let flow_table =
-      let ip what =
-        let v = B.get_uvarint r in
-        if v < 0 || v > 0xFFFF_FFFF then raise (B.Corrupt (r.B.pos, "bad " ^ what));
-        Address.ip_of_int v
+      let nflows = B.get_count r "flow table" in
+      let flows =
+        Array.init nflows (fun _ ->
+            B.get_endpoints r (fun src_ip src_port dst_ip dst_port ->
+                Address.flow
+                  ~src:(Address.endpoint (Address.ip_of_int src_ip) src_port)
+                  ~dst:(Address.endpoint (Address.ip_of_int dst_ip) dst_port)))
       in
-      let read_flow () =
-        let src_ip = ip "source ip" in
-        let src_port = B.get_uvarint r in
-        let dst_ip = ip "destination ip" in
-        let dst_port = B.get_uvarint r in
-        Address.flow
-          ~src:(Address.endpoint src_ip src_port)
-          ~dst:(Address.endpoint dst_ip dst_port)
+      let read_cag () =
+        let cag_id = B.get_uvarint r in
+        let flags = get_byte r "path flags" in
+        if flags land lnot 3 <> 0 then raise (B.Corrupt (r.B.pos, "bad path flags"));
+        let nv = B.get_count r "vertices" in
+        if nv = 0 then raise (B.Corrupt (r.B.pos, "path with no vertices"));
+        let verts = Array.make nv None in
+        let cag = ref None in
+        let prev_ts = ref 0 in
+        for i = 0 to nv - 1 do
+          let packed = get_byte r "vertex header" in
+          let kind =
+            match Activity.kind_of_code (packed land 3) with
+            | Some k -> k
+            | None -> raise (B.Corrupt (r.B.pos - 1, "bad activity kind"))
+          in
+          let parent_kinds =
+            match spec_kinds (packed lsr 2) with
+            | Some ks -> ks
+            | None -> raise (B.Corrupt (r.B.pos - 1, "bad parent spec"))
+          in
+          let parents =
+            List.map
+              (fun k ->
+                let delta = B.get_uvarint r in
+                if delta < 1 || delta > i then
+                  raise (B.Corrupt (r.B.pos, "parent reference out of range"));
+                (k, Option.get verts.(i - delta)))
+              parent_kinds
+          in
+          let ts = !prev_ts + B.get_varint r in
+          prev_ts := ts;
+          let context = contexts.(B.get_index r nctx "context") in
+          let flow = flows.(B.get_index r nflows "flow") in
+          let size = B.get_uvarint r in
+          let v =
+            Cag.Builder.fresh_vertex
+              { Activity.kind; timestamp = Sim_time.of_ns ts; context; message = { flow; size } }
+          in
+          verts.(i) <- Some v;
+          match !cag with
+          | None ->
+              if parents <> [] then raise (B.Corrupt (r.B.pos, "root vertex with a parent"));
+              cag := Some (Cag.Builder.create ~cag_id v)
+          | Some c ->
+              Cag.Builder.adopt c v;
+              List.iter (fun (k, p) -> Cag.Builder.add_edge k ~parent:p ~child:v) parents
+        done;
+        let c = Option.get !cag in
+        if flags land 1 <> 0 then Cag.Builder.finish c;
+        if flags land 2 <> 0 then Cag.Builder.mark_deformed c;
+        c
       in
-      let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_flow () :: acc) in
-      Array.of_list (go nflows [])
-    in
-    let read_cag () =
-      let cag_id = B.get_uvarint r in
-      let flags = get_byte r "path flags" in
-      if flags land lnot 3 <> 0 then raise (B.Corrupt (r.B.pos, "bad path flags"));
-      let nv = B.get_count r "vertices" in
-      if nv = 0 then raise (B.Corrupt (r.B.pos, "path with no vertices"));
-      let verts = Array.make nv None in
-      let cag = ref None in
-      let prev_ts = ref 0 in
-      for i = 0 to nv - 1 do
-        let packed = get_byte r "vertex header" in
-        let kind =
-          match Activity.kind_of_code (packed land 3) with
-          | Some k -> k
-          | None -> raise (B.Corrupt (r.B.pos - 1, "bad activity kind"))
-        in
-        let parent_kinds =
-          match spec_kinds (packed lsr 2) with
-          | Some ks -> ks
-          | None -> raise (B.Corrupt (r.B.pos - 1, "bad parent spec"))
-        in
-        let parents =
-          List.map
-            (fun k ->
-              let delta = B.get_uvarint r in
-              if delta < 1 || delta > i then
-                raise (B.Corrupt (r.B.pos, "parent reference out of range"));
-              (k, Option.get verts.(i - delta)))
-            parent_kinds
-        in
-        let ts = !prev_ts + B.get_varint r in
-        prev_ts := ts;
-        let ctx =
-          let j = B.get_uvarint r in
-          if j < 0 || j >= nctx then raise (B.Corrupt (r.B.pos, "context id out of range"));
-          contexts.(j)
-        in
-        let flow =
-          let j = B.get_uvarint r in
-          if j < 0 || j >= nflows then raise (B.Corrupt (r.B.pos, "flow id out of range"));
-          flow_table.(j)
-        in
-        let size = B.get_uvarint r in
-        let v =
-          Cag.Builder.fresh_vertex
-            {
-              Activity.kind;
-              timestamp = Sim_time.of_ns ts;
-              context = ctx;
-              message = { Activity.flow; size };
-            }
-        in
-        verts.(i) <- Some v;
-        (match !cag with
-        | None ->
-            if parents <> [] then raise (B.Corrupt (r.B.pos, "root vertex with a parent"));
-            cag := Some (Cag.Builder.create ~cag_id v)
-        | Some c ->
-            Cag.Builder.adopt c v;
-            List.iter
-              (fun (k, p) ->
-                match Cag.Builder.add_edge k ~parent:p ~child:v with
-                | () -> ()
-                | exception Invalid_argument msg -> raise (B.Corrupt (r.B.pos, msg)))
-              parents)
-      done;
-      let c = Option.get !cag in
-      if flags land 1 <> 0 then Cag.Builder.finish c;
-      if flags land 2 <> 0 then Cag.Builder.mark_deformed c;
-      c
-    in
-    let ncags = B.get_count r "paths" in
-    let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (read_cag () :: acc) in
-    let cags = go ncags [] in
-    if r.B.pos <> r.B.limit then raise (B.Corrupt (r.B.pos, "trailing bytes after paths"));
-    cags
-  with
-  | cags -> Ok cags
-  | exception B.Corrupt (off, msg) -> Error (Printf.sprintf "offset %d: %s" off msg)
+      List.init (B.get_count r "paths") (fun _ -> read_cag ()))

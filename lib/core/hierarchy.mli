@@ -62,8 +62,10 @@ val digest_result : Correlator.result -> string
     compactly. This is the volume the root actually ingests — the
     feed-reduction figures in the [hierarchy] bench compare its size
     against the raw record volume. The codec is lossy exactly where
-    aggregation permits: per-vertex source provenance (bundle
-    back-links) stays in the shard.
+    aggregation permits: per-vertex source provenance stays in the
+    shard. A bundle's [paths] section is this same message; its
+    back-links travel beside it in the [links] section
+    (docs/BUNDLE.md).
 
     Everything repeated is interned in first-use order — strings (hosts,
     programs), contexts, endpoint quadruples — and each vertex packs its
@@ -93,7 +95,11 @@ val encode_paths : Cag.t list -> string
 (** One PTH1 message holding the given paths (finished or deformed;
     flags travel per path). *)
 
-val decode_paths : string -> (Cag.t list, string) result
-(** Rebuild the paths from a PTH1 message. Round-trips everything
-    {!render} and {!Pattern}/{!Aggregate}/{!Latency} read: vertices in
-    causal order, activities, edges, finished/deformed flags, ids. *)
+val decode_paths : string -> pos:int -> len:int -> (Cag.t list, string) result
+(** Rebuild the paths from the PTH1 message at [pos] (spanning [len]
+    bytes) in [data] — a whole message, or the [paths] section of a
+    bundle, whose errors then name bundle-relative offsets. Round-trips
+    everything {!render} and {!Pattern}/{!Aggregate}/{!Latency} read:
+    vertices in causal order, activities, edges, finished/deformed flags,
+    ids. Endpoints are range-checked as in PTB1; errors read
+    [corrupt at offset N: reason] and no exception escapes. *)

@@ -1,6 +1,7 @@
 module Json = Core.Json
 module Log = Trace.Log
 module Sim_time = Simnet.Sim_time
+module B = Trace.Binary_format
 
 type meta = {
   id : int;
@@ -90,7 +91,7 @@ let time_bounds arenas =
 let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let records = Trace.Arena.total arenas in
   if records = 0 then invalid_arg "Segment.encode_native: empty batch";
-  let payload = Trace.Binary_format.encode_native arenas in
+  let payload = B.encode_native arenas in
   let raw_records = Option.value ~default:records raw_records in
   let raw_bytes = Option.value ~default:(String.length payload) raw_bytes in
   let min_ts_ns, max_ts_ns = time_bounds arenas in
@@ -111,8 +112,7 @@ let encode_native ~id ~policy ?raw_records ?raw_bytes arenas =
   let header = Json.to_string (meta_to_json meta) in
   let buf = Buffer.create (String.length payload + String.length header + 8) in
   Buffer.add_string buf magic;
-  Buffer.add_string buf (Trace.Binary_format.u32be (String.length header));
-  Buffer.add_string buf header;
+  B.put_string32 buf header;
   Buffer.add_string buf payload;
   (meta, Buffer.contents buf)
 
@@ -135,34 +135,27 @@ let read_file path =
    errors are absolute within [data], so they are container-relative.
    On success, returns the meta plus the payload's [pos, len) region. *)
 let parse_header_at data ~pos ~len ~what =
-  if pos < 0 || len < 0 || pos + len > String.length data then
-    Error (Printf.sprintf "%s: segment region [%d, %d) exceeds input" what pos (pos + len))
-  else if len < 8 || not (String.equal (String.sub data pos 4) magic) then
-    Error (Printf.sprintf "%s: not a PTS1 segment at offset %d" what pos)
-  else begin
-    let header_len = Trace.Binary_format.read_u32be data (pos + 4) in
-    if 8 + header_len > len then
-      Error (Printf.sprintf "%s: truncated segment header at offset %d" what (pos + 4))
-    else
-      match Json.of_string (String.sub data (pos + 8) header_len) with
-      | Error e -> Error (Printf.sprintf "%s: bad segment header at offset %d: %s" what (pos + 8) e)
-      | Ok j -> (
-          match meta_of_json j with
-          | Error e -> Error (Printf.sprintf "%s: at offset %d: %s" what (pos + 8) e)
-          | Ok meta ->
-              let skip = 8 + header_len in
-              Ok (meta, pos + skip, len - skip))
-  end
-
-let parse_header data ~path =
-  Result.map
-    (fun (meta, payload_at, _) -> (meta, payload_at))
-    (parse_header_at data ~pos:0 ~len:(String.length data) ~what:path)
+  Result.map_error (fun e -> Printf.sprintf "%s: %s" what e)
+  @@ B.decode_region ~magic data ~pos ~len (fun r ->
+         let header_at = r.B.pos + 4 in
+         let header = B.get_string32 r in
+         let bad msg = raise (B.Corrupt (header_at, "bad segment header: " ^ msg)) in
+         let meta =
+           match Json.of_string header with
+           | Error e -> bad e
+           | Ok j -> ( match meta_of_json j with Ok meta -> meta | Error e -> bad e)
+         in
+         (* the PTB1 payload is the rest of the region *)
+         let payload_len = r.B.limit - r.B.pos in
+         (meta, B.skip r payload_len "payload", payload_len))
 
 let read_meta ~path =
   match read_file path with
   | Error e -> Error e
-  | Ok data -> Result.map fst (parse_header data ~path)
+  | Ok data ->
+      Result.map
+        (fun (meta, _, _) -> meta)
+        (parse_header_at data ~pos:0 ~len:(String.length data) ~what:path)
 
 let read_embedded_native ~data ~pos ~len ~what meta =
   match parse_header_at data ~pos ~len ~what with
@@ -171,17 +164,19 @@ let read_embedded_native ~data ~pos ~len ~what meta =
       if header_meta.id <> meta.id || header_meta.records <> meta.records then
         Error
           (Printf.sprintf
-             "%s: header (id %d, %d records) disagrees with manifest (id %d, %d records)" what
-             header_meta.id header_meta.records meta.id meta.records)
+             "%s: corrupt at offset %d: header (id %d, %d records) disagrees with manifest (id \
+              %d, %d records)"
+             what pos header_meta.id header_meta.records meta.id meta.records)
       else begin
-        match Trace.Binary_format.decode_native_region data ~pos:payload_at ~len:payload_len with
+        match B.decode_native_region data ~pos:payload_at ~len:payload_len with
         | Error e -> Error (Printf.sprintf "%s: %s" what e)
         | Ok arenas ->
             let n = Trace.Arena.total arenas in
             if n <> meta.records then
               Error
-                (Printf.sprintf "%s: payload holds %d records, header declares %d" what n
-                   meta.records)
+                (Printf.sprintf "%s: corrupt at offset %d: payload holds %d records, header \
+                                 declares %d"
+                   what payload_at n meta.records)
             else Ok arenas
       end
 

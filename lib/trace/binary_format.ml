@@ -25,21 +25,18 @@ let put_string buf s =
   put_uvarint buf (String.length s);
   Buffer.add_string buf s
 
-(* Fixed-width big-endian lengths, for the container formats that frame
+(* Fixed-width big-endian integers, for the container formats that frame
    a JSON header or a section name ahead of its bytes. *)
-let u32be n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.to_string b
+let put_uint_be buf ~width n =
+  for i = width - 1 downto 0 do
+    Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
+  done
 
-let read_u32be s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
+let put_string32 buf s =
+  put_uint_be buf ~width:4 (String.length s);
+  Buffer.add_string buf s
+
+let put_u64be buf n = put_uint_be buf ~width:8 n
 
 (* The native encoder's writer: a growable [Bytes.t] with an inlined
    LEB128 loop. [Buffer]'s per-char bounds checks and the closure-heavy
@@ -132,16 +129,89 @@ let get_varint r = unzigzag (get_uvarint r)
    allocation bomb before the truncation would be noticed. *)
 let get_count r what =
   let n = get_uvarint r in
-  if n > r.limit - r.pos then
+  if n < 0 || n > r.limit - r.pos then
     raise (Corrupt (r.pos, Printf.sprintf "%s count %d exceeds remaining input" what n));
   n
 
+(* Advance past [n] raw bytes, returning the offset they start at. *)
+let skip r n what =
+  if n < 0 || n > r.limit - r.pos then
+    raise (Corrupt (r.pos, Printf.sprintf "%s overruns input" what));
+  let at = r.pos in
+  r.pos <- r.pos + n;
+  at
+
 let get_string r =
   let n = get_uvarint r in
-  if r.pos + n > r.limit then raise (Corrupt (r.pos, "string overruns input"));
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+  String.sub r.data (skip r n "string") n
+
+(* A table index: every interned-table reference in every format goes
+   through this one bounds check. *)
+let get_index r n what =
+  let i = get_uvarint r in
+  if i < 0 || i >= n then
+    raise (Corrupt (r.pos, Printf.sprintf "%s index %d out of range" what i));
+  i
+
+let get_uint_be r ~width =
+  let at = skip r width "fixed-width integer" in
+  let v = ref 0 in
+  for i = 0 to width - 1 do
+    v := (!v lsl 8) lor Char.code r.data.[at + i]
+  done;
+  (* 8-byte values above [max_int] would wrap negative *)
+  if !v < 0 then raise (Corrupt (at, "length exceeds the integer range"));
+  !v
+
+let get_u32be r = get_uint_be r ~width:4
+let get_u64be r = get_uint_be r ~width:8
+
+let get_string32 r =
+  let n = get_u32be r in
+  String.sub r.data (skip r n "string") n
+
+let get_bounded r what max =
+  let v = get_uvarint r in
+  if v < 0 || v > max then raise (Corrupt (r.pos, Printf.sprintf "%s %d out of range" what v));
+  v
+
+(* One endpoint quadruple, validated once for every format that ships
+   flows: ips in the 32-bit range, ports in the 16-bit range. Passing the
+   fields to [k] rather than returning a tuple keeps the read
+   allocation-free. *)
+let get_endpoints r k =
+  let src_ip = get_bounded r "source ip" 0xffff_ffff in
+  let src_port = get_bounded r "source port" 0xffff in
+  let dst_ip = get_bounded r "destination ip" 0xffff_ffff in
+  let dst_port = get_bounded r "destination port" 0xffff in
+  k src_ip src_port dst_ip dst_port
+
+let has_magic data pos magic =
+  String.length data - pos >= String.length magic
+  && String.equal (String.sub data pos (String.length magic)) magic
+
+(* The one decode runner. It validates the region, checks the magic,
+   runs [f], requires the region
+   to be consumed exactly, and turns every [Corrupt] and
+   [Invalid_argument] into "corrupt at offset N: reason". *)
+let decode_region ?(magic = "") data ~pos ~len f =
+  let r = { data; pos; limit = pos + len } in
+  try
+    if pos < 0 || len < 0 || pos + len > String.length data then
+      raise
+        (Corrupt
+           (pos, Printf.sprintf "region [%d, %d) exceeds the %d-byte input" pos (pos + len)
+              (String.length data)));
+    if len < String.length magic || not (has_magic data pos magic) then
+      raise (Corrupt (pos, Printf.sprintf "bad magic (expected %S)" magic));
+    r.pos <- pos + String.length magic;
+    let v = f r in
+    if r.pos <> r.limit then
+      raise (Corrupt (r.pos, Printf.sprintf "%d trailing bytes" (r.limit - r.pos)));
+    Ok v
+  with
+  | Corrupt (at, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" at msg)
+  | Invalid_argument msg -> Error (Printf.sprintf "corrupt at offset %d: %s" r.pos msg)
 
 (* ---- encoding ---- *)
 
@@ -246,9 +316,6 @@ let encode_native arenas =
 
 let encode collection = encode_native (Arena.of_collection collection)
 
-let has_magic_at data pos =
-  String.length data - pos >= 4 && String.equal (String.sub data pos 4) magic
-
 (* The zero-copy decode: table entries are interned into the process-wide
    {!Intern} tables once each, then every record row is five varint reads
    and an {!Arena.append} — no string, context or flow allocation per
@@ -259,24 +326,14 @@ let has_magic_at data pos =
    table entries before the error is noticed; the pollution is bounded by
    the table sizes, which [get_count] bounds by the input length.) *)
 let decode_native_region data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length data then
-    Error (Printf.sprintf "corrupt at offset %d: region [%d, %d) exceeds input" pos pos (pos + len))
-  else if len < 4 || not (has_magic_at data pos) then
-    Error (Printf.sprintf "corrupt at offset %d: no PTB1 magic" pos)
-  else begin
-    let r = { data; pos = pos + 4; limit = pos + len } in
-    try
+  decode_region ~magic data ~pos ~len (fun r ->
       let string_count = get_count r "string table" in
       let strings = Array.init string_count (fun _ -> Intern.string_id (get_string r)) in
-      let lookup_string i =
-        if i < 0 || i >= string_count then raise (Corrupt (r.pos, "string index out of range"));
-        strings.(i)
-      in
       let context_count = get_count r "context table" in
       let contexts =
         Array.init context_count (fun _ ->
-            let host = lookup_string (get_uvarint r) in
-            let program = lookup_string (get_uvarint r) in
+            let host = strings.(get_index r string_count "string") in
+            let program = strings.(get_index r string_count "string") in
             let pid = get_uvarint r in
             let tid = get_uvarint r in
             Intern.context_id_parts ~host ~program ~pid ~tid)
@@ -284,49 +341,33 @@ let decode_native_region data ~pos ~len =
       let flow_count = get_count r "flow table" in
       let flows =
         Array.init flow_count (fun _ ->
-            let src_ip = get_uvarint r in
-            let src_port = get_uvarint r in
-            let dst_ip = get_uvarint r in
-            let dst_port = get_uvarint r in
-            (* validates ip/port ranges, raising Invalid_argument like the
-               Address constructors the record-list decoder called here *)
-            Intern.flow_id_parts ~src_ip ~src_port ~dst_ip ~dst_port)
+            get_endpoints r (fun src_ip src_port dst_ip dst_port ->
+                Intern.flow_id_parts ~src_ip ~src_port ~dst_ip ~dst_port))
       in
       let log_count = get_count r "log" in
-      let arenas =
-        List.init log_count (fun _ ->
-            let host = lookup_string (get_uvarint r) in
-            let n = get_count r "record" in
-            let a = Arena.create_sid ~capacity:(max 1 n) host in
-            let prev_ts = ref 0 in
-            for _ = 1 to n do
-              let code = get_uvarint r in
-              if code < 0 || code > 3 then
-                raise (Corrupt (r.pos, Printf.sprintf "bad kind code %d" code));
-              let ts = !prev_ts + get_varint r in
-              prev_ts := ts;
-              let ctx = get_uvarint r in
-              if ctx < 0 || ctx >= context_count then
-                raise (Corrupt (r.pos, "context index out of range"));
-              let flow = get_uvarint r in
-              if flow < 0 || flow >= flow_count then
-                raise (Corrupt (r.pos, "flow index out of range"));
-              let size = get_uvarint r in
-              Arena.append a ~kind:code ~ts ~ctx:contexts.(ctx) ~flow:flows.(flow) ~size
-            done;
-            a)
-      in
-      if r.pos <> r.limit then Error (Printf.sprintf "trailing garbage at offset %d" r.pos)
-      else Ok arenas
-    with
-    | Corrupt (pos, msg) -> Error (Printf.sprintf "corrupt at offset %d: %s" pos msg)
-    | Invalid_argument msg -> Error (Printf.sprintf "corrupt at offset %d: %s" r.pos msg)
-  end
+      List.init log_count (fun _ ->
+          let host = strings.(get_index r string_count "string") in
+          let n = get_count r "record" in
+          let a = Arena.create_sid ~capacity:(max 1 n) host in
+          let prev_ts = ref 0 in
+          for _ = 1 to n do
+            let code = get_uvarint r in
+            if code < 0 || code > 3 then
+              raise (Corrupt (r.pos, Printf.sprintf "bad kind code %d" code));
+            let ts = !prev_ts + get_varint r in
+            prev_ts := ts;
+            let ctx = get_uvarint r in
+            if ctx < 0 || ctx >= context_count then
+              raise (Corrupt (r.pos, "context index out of range"));
+            let flow = get_uvarint r in
+            if flow < 0 || flow >= flow_count then
+              raise (Corrupt (r.pos, "flow index out of range"));
+            let size = get_uvarint r in
+            Arena.append a ~kind:code ~ts ~ctx:contexts.(ctx) ~flow:flows.(flow) ~size
+          done;
+          a))
 
-let decode_native data =
-  if not (has_magic_at data 0) then Error "not a PTB1 file"
-  else decode_native_region data ~pos:0 ~len:(String.length data)
-
+let decode_native data = decode_native_region data ~pos:0 ~len:(String.length data)
 let decode data = Result.map Arena.to_collection (decode_native data)
 
 let save collection ~path =
@@ -335,8 +376,7 @@ let save collection ~path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (encode collection))
 
-let is_binary data =
-  String.length data >= 4 && String.equal (String.sub data 0 4) magic
+let is_binary data = has_magic data 0 magic
 
 let is_binary_file ~path =
   match open_in_bin path with
@@ -346,7 +386,7 @@ let is_binary_file ~path =
         ~finally:(fun () -> close_in ic)
         (fun () ->
           match really_input_string ic 4 with
-          | head -> String.equal head magic
+          | head -> is_binary head
           | exception End_of_file -> false)
 
 let load ~path =

@@ -20,11 +20,18 @@ val magic : string
 
 (** {1 Codec primitives}
 
-    Shared with the other PT binary formats (agent frames, store
-    segments, the bundle container and its path table): unsigned LEB128
-    varints, zigzag-encoded signed varints, length-prefixed strings,
-    big-endian u32 lengths, and a bounds-checked reader whose [Corrupt]
-    errors carry offsets absolute within [data]. *)
+    The one byte-codec toolkit every PT binary format shares — PTB1
+    itself, agent frames, the boundary table, the shard-to-root path
+    message, store segments, the bundle container and its back-link
+    table: unsigned LEB128 varints, zigzag-encoded signed varints,
+    length-prefixed strings, big-endian fixed-width integers, and a
+    bounds-checked reader whose [Corrupt] errors carry offsets absolute
+    within [data].
+
+    Every decoder runs through {!decode_region}, so every decode error
+    reads [corrupt at offset N: reason], with [N] absolute within the
+    input string — for a section of a larger file, an offset into that
+    file. *)
 
 exception Corrupt of int * string
 
@@ -34,12 +41,20 @@ val put_uvarint : Buffer.t -> int -> unit
 val put_varint : Buffer.t -> int -> unit
 val put_string : Buffer.t -> string -> unit
 
-val u32be : int -> string
-(** The low 32 bits of an int as 4 big-endian bytes. *)
+val put_string32 : Buffer.t -> string -> unit
+(** A big-endian u32 length, then the bytes: the framing of the PTS1 and
+    PTZ1 JSON headers and the PTZ1 section names. *)
 
-val read_u32be : string -> int -> int
-(** [read_u32be s pos] reads 4 big-endian bytes at [pos]; the caller
-    checks the bounds. *)
+val put_u64be : Buffer.t -> int -> unit
+
+val decode_region :
+  ?magic:string -> string -> pos:int -> len:int -> (reader -> 'a) -> ('a, string) result
+(** [decode_region ?magic data ~pos ~len f] checks that [pos, pos+len) lies
+    inside [data] and that it starts with [magic] (default: none), then
+    runs [f] on a reader over the rest of the region. [f] must consume
+    the region exactly: trailing bytes are an error. [Corrupt] and
+    [Invalid_argument] never escape; they come back as
+    [Error "corrupt at offset N: reason"]. *)
 
 val get_uvarint : reader -> int
 val get_varint : reader -> int
@@ -49,6 +64,26 @@ val get_count : reader -> string -> int
 (** Read a count varint, raising [Corrupt] if it exceeds the remaining
     input (each counted item takes at least one byte) — the allocation-
     bomb guard for corrupt inputs. *)
+
+val get_index : reader -> int -> string -> int
+(** [get_index r n what] reads a uvarint index into a table of [n]
+    entries; [Corrupt] names [what] if it is out of range. *)
+
+val get_u64be : reader -> int
+(** [Corrupt] on overrun, and on values beyond [max_int]. *)
+
+val get_string32 : reader -> string
+(** The inverse of {!put_string32}: one header read for PTS1 and PTZ1. *)
+
+val skip : reader -> int -> string -> int
+(** [skip r n what] steps over [n] bytes and returns the offset they start
+    at; [Corrupt] (naming [what]) if they overrun the region. *)
+
+val get_endpoints : reader -> (int -> int -> int -> int -> 'a) -> 'a
+(** [get_endpoints r k] reads an endpoint quadruple — src ip, src port,
+    dst ip, dst port, as uvarints — and passes it to [k]. The one
+    validation for every format that ships flows: ips in the 32-bit
+    range, ports in the 16-bit range, else [Corrupt]. *)
 
 val is_binary : string -> bool
 (** Whether the bytes begin with {!magic}. *)

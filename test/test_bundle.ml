@@ -1,5 +1,5 @@
-(* Tests for lib/bundle: the PTZ1 single-file container, the paths codec,
-   back-link invariants, deterministic packing, corruption handling with
+(* Tests for lib/bundle: the PTZ1 single-file container, the paths (PTH1)
+   and links sections, back-link invariants, deterministic packing, corruption handling with
    named offsets, and diff-vs-diagnose culprit agreement — the acceptance
    criteria of the bundle subsystem. *)
 
@@ -13,6 +13,7 @@ module Aggregate = Core.Aggregate
 module Analysis = Core.Analysis
 module Cag = Core.Cag
 module Json = Core.Json
+module H = Test_helpers.Helpers
 
 let temp_dir () =
   let dir = Filename.temp_file "pt-bundle" "" in
@@ -279,8 +280,50 @@ let test_links_survive_compaction () =
   Alcotest.(check string)
     "paths section identical across compaction" (section before "paths") (section after "paths");
   Alcotest.(check string)
+    "links section identical across compaction" (section before "links") (section after "links");
+  Alcotest.(check string)
     "patterns section identical across compaction" (section before "patterns")
     (section after "patterns")
+
+(* The paths section is a plain PTH1 message: the shard-to-root decoder
+   reads it with no bundle knowledge and renders the live result. *)
+let test_paths_section_is_pth1 () =
+  let path, _ = Lazy.force control in
+  let data = read_file path in
+  let _, sections = ok "parse" (Bundle.Container.parse ~what:path data) in
+  let s =
+    match Bundle.Container.find sections "paths" with
+    | Some s -> s
+    | None -> Alcotest.fail "no paths section"
+  in
+  let body = String.sub data s.Bundle.Container.pos s.Bundle.Container.len in
+  let decoded =
+    ok "decode_paths" (Core.Hierarchy.decode_paths body ~pos:0 ~len:(String.length body))
+  in
+  let live = (Core.Shard.correlate (config ()) (Lazy.force outcome).S.logs).Correlator.cags in
+  let render cags =
+    let finished, deformed = List.partition Cag.is_finished cags in
+    Core.Hierarchy.render ~finished ~deformed
+  in
+  Alcotest.(check string) "renders like the live result" (render live) (render decoded)
+
+(* A host with stored records but no path vertex still gets a link-host
+   entry, and the bundle stays readable. *)
+let test_pathless_host_readable () =
+  with_dir @@ fun dir ->
+  let send =
+    H.act ~kind:Activity.Send ~ts:1_000
+      ~ctx:(H.ctx ~host:"web1" ~program:"httpd" ())
+      ~flow:(H.flow "10.0.1.1" 41000 "10.0.2.1" 8009)
+      ~size:100
+  in
+  let path = Filename.concat dir "lone.ptz" in
+  let summary = pack_logs ~path [ Log.of_list ~hostname:"web1" [ send ] ] in
+  Alcotest.(check int) "no paths" 0 summary.Bundle.Pack.cags;
+  let decoded = ok "paths" (Bundle.Reader.paths (reader path)) in
+  Alcotest.(check (list string))
+    "web1 is a link host" [ "web1" ]
+    (Array.to_list decoded.Bundle.Codec.link_hosts)
 
 (* ---- embedded query ---- *)
 
@@ -377,6 +420,32 @@ let test_decode_region_offsets () =
   expect_offset_error "bad region bounds"
     (Result.map ignore
        (Trace.Binary_format.decode_native_region seg ~pos:payload_pos ~len:(payload_len + 10)))
+
+(* The layout before the links section: a PTP1 message in "paths" and no
+   "links". The bundle opens (its framing is intact) but its paths are
+   refused with a named offset, never an exception. *)
+let test_old_layout_rejected () =
+  let path, _ = Lazy.force control in
+  let data = read_file path in
+  let _, sections = ok "parse" (Bundle.Container.parse ~what:path data) in
+  let body (s : Bundle.Container.section) =
+    String.sub data s.Bundle.Container.pos s.Bundle.Container.len
+  in
+  let old_sections =
+    List.filter_map
+      (fun (s : Bundle.Container.section) ->
+        match s.Bundle.Container.name with
+        | "links" -> None
+        | "paths" ->
+            let b = body s in
+            Some ("paths", "PTP1" ^ String.sub b 4 (String.length b - 4))
+        | name -> Some (name, body s))
+      sections
+  in
+  let r =
+    ok "open" (Bundle.Reader.of_string (Bundle.Container.assemble ~manifest_extra:[] old_sections))
+  in
+  expect_offset_error "PTP1 paths section" (Bundle.Reader.paths r)
 
 (* ---- diff vs diagnose ---- *)
 
@@ -517,6 +586,9 @@ let () =
           Alcotest.test_case "every vertex resolves" `Quick test_every_vertex_resolves;
           Alcotest.test_case "walk resolves every hop" `Quick test_walk_resolves_every_hop;
           Alcotest.test_case "links survive compaction" `Quick test_links_survive_compaction;
+          Alcotest.test_case "paths section is plain PTH1" `Quick test_paths_section_is_pth1;
+          Alcotest.test_case "host with no path stays readable" `Quick
+            test_pathless_host_readable;
         ] );
       ( "query",
         [ Alcotest.test_case "matches the directory store" `Quick test_query_matches_store ] );
@@ -525,6 +597,7 @@ let () =
           Alcotest.test_case "truncation names offsets" `Quick test_truncated_bundle;
           Alcotest.test_case "byte flips are detected" `Quick test_byte_flips_detected;
           Alcotest.test_case "decode_region names offsets" `Quick test_decode_region_offsets;
+          Alcotest.test_case "old PTP1 layout rejected" `Quick test_old_layout_rejected;
         ] );
       ( "diff",
         [

@@ -81,9 +81,13 @@ let test_boundary_corrupt () =
   (match Boundary.decode (bytes ^ "x") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  match Boundary.decode ("XXXX" ^ String.sub bytes 4 (String.length bytes - 4)) with
+  (match Boundary.decode ("XXXX" ^ String.sub bytes 4 (String.length bytes - 4)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad magic accepted"
+  | Ok _ -> Alcotest.fail "bad magic accepted");
+  let entry = List.hd (Result.get_ok (Boundary.decode bytes)) in
+  match Boundary.decode (Boundary.encode [ { entry with Boundary.dst_port = 70_000 } ]) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "out-of-range port accepted"
 
 (* ---- a small monolithic run to feed the codec/splice tests ---- *)
 
@@ -107,7 +111,7 @@ let test_pth1_roundtrip () =
   Alcotest.(check bool) "run produced paths" true (List.length r.Core.Correlator.cags > 50);
   let message = Core.Hierarchy.encode_paths all in
   let decoded =
-    match Core.Hierarchy.decode_paths message with
+    match Core.Hierarchy.decode_paths message ~pos:0 ~len:(String.length message) with
     | Ok cags -> cags
     | Error e -> Alcotest.failf "PTH1 decode failed: %s" e
   in
@@ -126,12 +130,49 @@ let test_pth1_roundtrip () =
 let test_pth1_corrupt () =
   let r = Lazy.force small_result in
   let message = Core.Hierarchy.encode_paths r.Core.Correlator.cags in
-  (match Core.Hierarchy.decode_paths (String.sub message 0 (String.length message / 2)) with
+  let decode s = Core.Hierarchy.decode_paths s ~pos:0 ~len:(String.length s) in
+  (match decode (String.sub message 0 (String.length message / 2)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated message decoded");
-  match Core.Hierarchy.decode_paths (message ^ "\x00") with
+  match decode (message ^ "\x00") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
+
+(* Every single-bit flip of a small message either fails with a named
+   offset or decodes to endpoints PTB1 would also accept: PTH1 shares
+   PTB1's endpoint validation. *)
+let test_pth1_bit_flips () =
+  let r = Lazy.force small_result in
+  let message =
+    Core.Hierarchy.encode_paths (List.filteri (fun i _ -> i < 4) r.Core.Correlator.cags)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "small message (%d bytes)" (String.length message))
+    true
+    (String.length message <= 1024);
+  let in_range (e : Address.endpoint) = e.Address.port >= 0 && e.Address.port <= 0xFFFF in
+  for i = 0 to String.length message - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string message in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      let flipped = Bytes.to_string b in
+      match Core.Hierarchy.decode_paths flipped ~pos:0 ~len:(String.length flipped) with
+      | Error e ->
+          if not (H.contains e "corrupt at offset") then
+            Alcotest.failf "flip at %d/%d: error %S names no offset" i bit e
+      | Ok cags ->
+          List.iter
+            (fun c ->
+              List.iter
+                (fun (v : Core.Cag.vertex) ->
+                  let f = v.Core.Cag.activity.Activity.message.Activity.flow in
+                  if not (in_range f.Address.src && in_range f.Address.dst) then
+                    Alcotest.failf "flip at %d/%d decoded an out-of-range port" i bit)
+                (Core.Cag.vertices c))
+            cags
+      | exception e -> Alcotest.failf "flip at %d/%d raised %s" i bit (Printexc.to_string e)
+    done
+  done
 
 (* ---- canonical splice: hierarchical = monolithic at any shard count ---- *)
 
@@ -534,6 +575,7 @@ let () =
         [
           Alcotest.test_case "round-trip preserves the digest" `Quick test_pth1_roundtrip;
           Alcotest.test_case "corrupt messages rejected" `Quick test_pth1_corrupt;
+          Alcotest.test_case "bit flips never raise" `Quick test_pth1_bit_flips;
         ] );
       ("splice", [ qtest prop_splice_invariance ]);
       ( "partial",
