@@ -1,6 +1,6 @@
 # Minimal CI entry points. `make ci` is what a pipeline should run.
 
-.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate ci clean
+.PHONY: all build test test-parallel fmt bench-quick bench-gate bundle-gate perfbench-smoke ci clean
 
 all: build
 
@@ -54,6 +54,14 @@ bundle-gate: build
 	dune exec bin/precisetracer.exe -- bundle diff _bundle_gate/control.ptz _bundle_gate/fault.ptz
 	rm -rf _bundle_gate
 
+# Tracer benchmark smoke: one short end-to-end run of each perfbench
+# workload. run.py exits non-zero on a wrong result (accuracy, a
+# serial/sharded digest mismatch, set-ups that disagree), so this runs
+# perfbench's correctness checks; its timings are not gated here.
+perfbench-smoke: build
+	python3 perfbench/run.py --workload rubis_live --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload mesh_cascade --seed 1 --seconds 3 --trace 0
+
 # Formatting check is advisory: the container does not ship ocamlformat,
 # so skip (with a note) when the tool is absent rather than failing CI.
 fmt:
@@ -63,7 +71,7 @@ fmt:
 		echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-ci: fmt build test test-parallel bench-quick bench-gate bundle-gate
+ci: fmt build test test-parallel bench-quick bench-gate bundle-gate perfbench-smoke
 
 clean:
 	dune clean

@@ -5,7 +5,7 @@
                    [--json FILE] [--gate FILE] [--gate-hierarchy FILE]
                    [--gate-mesh FILE]
                    [--telemetry FILE] [--telemetry-format prom|json|report]
-     IDs: accuracy 8 9 10 11 12 13 14 15 16 17 baseline loss micro store
+     IDs: accuracy 8 9 10 11 12 13 14 15 16 17 baseline loss store
           degraded collect hierarchy mesh parallel diagnose bundle all
    --jobs adds an extra domain count to the parallel figure's 1/2/4 grid.
    An unknown figure, argument or telemetry format, or a value that does
@@ -1717,62 +1717,6 @@ let bench_bundle () =
     ];
   Report.print t_diff
 
-(* ---- bechamel micro-benchmarks ---- *)
-
-let micro_tests () =
-  let spec = { (base_spec ()) with S.clients = 100; time_scale = 0.02 } in
-  let outcome = run spec in
-  let prepared = Transform.apply outcome.S.transform outcome.S.logs in
-  let correlate_once () =
-    let engine = Core.Cag_engine.create () in
-    let ranker =
-      Core.Ranker.create ~window:(ST.ms 10)
-        ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
-        prepared
-    in
-    let rec loop () =
-      match Core.Ranker.rank ranker with
-      | None -> ()
-      | Some a ->
-          Core.Cag_engine.step engine a;
-          loop ()
-    in
-    loop ();
-    Core.Cag_engine.finished engine
-  in
-  let cags = correlate_once () in
-  let one_line =
-    Trace.Raw_format.to_line (List.concat_map Trace.Log.to_list prepared |> List.hd)
-  in
-  let open Bechamel in
-  [
-    Test.make ~name:"correlate-trace" (Staged.stage (fun () -> ignore (correlate_once ())));
-    Test.make ~name:"pattern-signature"
-      (Staged.stage (fun () -> ignore (Pattern.signature_of (List.hd cags))));
-    Test.make ~name:"classify-patterns" (Staged.stage (fun () -> ignore (Pattern.classify cags)));
-    Test.make ~name:"critical-path"
-      (Staged.stage (fun () -> ignore (Latency.critical_path (List.hd cags))));
-    Test.make ~name:"raw-parse"
-      (Staged.stage (fun () -> ignore (Trace.Raw_format.of_line one_line)));
-  ]
-
-let bench_micro () =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let grouped = Test.make_grouped ~name:"kernel" ~fmt:"%s %s" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== bechamel micro-benchmarks (ns/run, OLS) ==";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "%-28s %12.1f\n" name est
-      | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-    results;
-  print_newline ()
-
 (* ---- mesh: adversarial scenario presets + correlation throughput ---- *)
 
 let bench_mesh () =
@@ -1868,7 +1812,6 @@ let all_figures =
     ("parallel", bench_parallel);
     ("diagnose", bench_diagnose);
     ("bundle", bench_bundle);
-    ("micro", bench_micro);
   ]
 
 let resolve = function

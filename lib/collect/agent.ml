@@ -55,6 +55,67 @@ type entry = {
 
 let drop_reasons = [ "agent_down"; "buffer_full"; "crash"; "evicted" ]
 
+(* Every count the agent keeps, in one record updated in place: {!stats}
+   copies it and the registry's read-through [fields] read it. *)
+type stats = {
+  mutable observed : int;
+  mutable reduced : int;
+  mutable partial_coalesced : int;
+  mutable partial_local_flows : int;
+  mutable partial_fallbacks : int;
+  mutable boundary_entries : int;
+  mutable dropped : (string * int) list;  (* by reason, in [drop_reasons] order *)
+  mutable frames_shipped : int;
+  mutable retransmits : int;
+  mutable bytes_shipped : int;
+  mutable acked_records : int;
+  mutable spooled_records : int;
+  mutable queued_records : int;  (* the open batch and the encode queue *)
+  mutable connections : int;
+  mutable spool_peak_records : int;
+}
+
+let fields =
+  let count help name read = R.count ~help name read in
+  let level help name read = R.level ~help name (fun c -> float_of_int (read c)) in
+  [
+    count "Own-host records accepted from the probe" "pt_collect_observed_total" (fun c ->
+        c.observed);
+    count "Records removed by the agent-local policy" "pt_collect_reduced_total" (fun c ->
+        c.reduced);
+    count "Rows merged into a local run head by the partial pass"
+      "pt_hier_partial_coalesced_total" (fun c -> c.partial_coalesced);
+    count "Flows resolved inside the host by the partial pass"
+      "pt_hier_partial_local_flows_total" (fun c -> c.partial_local_flows);
+    count "Batches shipped raw because the partial pass exceeded its budget"
+      "pt_hier_partial_fallbacks_total" (fun c -> c.partial_fallbacks);
+    count "Unresolved-boundary table entries shipped" "pt_hier_boundary_entries_total"
+      (fun c -> c.boundary_entries);
+    count "Frame transmissions (including retransmits)" "pt_collect_frames_shipped_total"
+      (fun c -> c.frames_shipped);
+    count "Frames retransmitted after reconnect" "pt_collect_retransmits_total" (fun c ->
+        c.retransmits);
+    count "Wire bytes shipped to the collector" "pt_collect_bytes_shipped_total" (fun c ->
+        c.bytes_shipped);
+    count "Records acknowledged by the collector" "pt_collect_acked_records_total" (fun c ->
+        c.acked_records);
+    count "Connections dialled to the collector" "pt_collect_connections_total" (fun c ->
+        c.connections);
+    level "Records in the agent's open batch and encode queue" "pt_collect_queued_records"
+      (fun c -> c.queued_records);
+    level "Records framed in the agent's spool, not yet acknowledged"
+      "pt_collect_spooled_records" (fun c -> c.spooled_records);
+    R.peak ~help:"Peak records buffered at the agent (batch + encode queue + spool)"
+      "pt_collect_spool_peak_records" (fun c -> float_of_int c.spool_peak_records);
+  ]
+  @ List.map
+      (fun reason ->
+        R.count ~help:"Records lost at the collection agent"
+          ~labels:[ ("reason", reason) ]
+          "pt_collect_dropped_total"
+          (fun c -> List.assoc reason c.dropped))
+      drop_reasons
+
 type t = {
   wire : Wire.t;
   node : Node.t;
@@ -71,10 +132,8 @@ type t = {
          belong to a dead incarnation and do nothing *)
   mutable batch : Trace.Arena.t;  (* open batch, append order = probe order *)
   encode_q : (Trace.Arena.t * int * Sim_time.t) Queue.t;
-  mutable queued : int;  (* records in encode_q *)
   mutable encoding : bool;
   mutable spool : entry list;  (* oldest first; send order *)
-  mutable spool_records : int;
   mutable next_seq : int;
   mutable last_acked : int;
   mutable sending : bool;
@@ -85,50 +144,18 @@ type t = {
      announced once, when it first enters the boundary, not re-listed in
      every later frame that touches the connection. *)
   shipped_boundary : (int * int * int * int, unit) Hashtbl.t;
-  (* stats mirrors (exact per-run view; telemetry accumulates) *)
-  mutable s_observed : int;
-  mutable s_reduced : int;
-  mutable s_partial_coalesced : int;
-  mutable s_partial_local_flows : int;
-  mutable s_partial_fallbacks : int;
-  mutable s_boundary_entries : int;
-  s_dropped : (string, int ref) Hashtbl.t;
-  mutable s_frames : int;
-  mutable s_retransmits : int;
-  mutable s_bytes : int;
-  mutable s_acked : int;
-  mutable s_connections : int;
-  (* telemetry handles *)
-  c_observed : R.counter;
-  c_reduced : R.counter;
-  c_partial_coalesced : R.counter;
-  c_partial_local_flows : R.counter;
-  c_partial_fallbacks : R.counter;
-  c_boundary_entries : R.counter;
-  c_dropped : (string, R.counter) Hashtbl.t;
-  c_frames : R.counter;
-  c_retransmits : R.counter;
-  c_bytes : R.counter;
-  c_acked : R.counter;
-  c_connections : R.counter;
-  g_spool_peak : R.gauge;
+  c : stats;
 }
 
 let host t = t.hostname
 let is_up t = t.alive
 let batch_n t = Trace.Arena.length t.batch
-let held t = batch_n t + t.queued + t.spool_records
+let held t = t.c.queued_records + t.c.spooled_records
 let oldest_resendable t = match t.spool with e :: _ -> e.seq | [] -> t.next_seq
 
 let drop t reason n =
-  if n > 0 then begin
-    (match Hashtbl.find_opt t.s_dropped reason with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace t.s_dropped reason (ref n));
-    match Hashtbl.find_opt t.c_dropped reason with
-    | Some c -> R.add c n
-    | None -> ()
-  end
+  t.c.dropped <-
+    List.map (fun (r, k) -> (r, if String.equal r reason then k + n else k)) t.c.dropped
 
 let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~collector () =
   if config.batch_records <= 0 then invalid_arg "Agent.create: batch_records";
@@ -137,18 +164,26 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
   if (not (Store.Policy.is_none config.policy)) && config.correlate = None then
     invalid_arg "Agent.create: a reduction policy needs a correlate config";
   let hostname = Node.hostname node in
-  let labels = [ ("host", hostname) ] in
-  let counter help name = R.counter telemetry ~help ~labels name in
-  let c_dropped = Hashtbl.create 8 in
-  List.iter
-    (fun reason ->
-      Hashtbl.replace c_dropped reason
-        (R.counter telemetry ~help:"Records lost at the collection agent"
-           ~labels:(("host", hostname) :: [ ("reason", reason) ])
-           "pt_collect_dropped_total"))
-    drop_reasons;
-  let s_dropped = Hashtbl.create 8 in
-  List.iter (fun reason -> Hashtbl.replace s_dropped reason (ref 0)) drop_reasons;
+  let c =
+    {
+      observed = 0;
+      reduced = 0;
+      partial_coalesced = 0;
+      partial_local_flows = 0;
+      partial_fallbacks = 0;
+      boundary_entries = 0;
+      dropped = List.map (fun reason -> (reason, 0)) drop_reasons;
+      frames_shipped = 0;
+      retransmits = 0;
+      bytes_shipped = 0;
+      acked_records = 0;
+      spooled_records = 0;
+      queued_records = 0;
+      connections = 0;
+      spool_peak_records = 0;
+    }
+  in
+  R.register telemetry ~labels:[ ("host", hostname) ] fields c;
   {
     wire;
     node;
@@ -162,10 +197,8 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     epoch = 0;
     batch = Trace.Arena.create ~capacity:(max 1 config.batch_records) ~host:hostname ();
     encode_q = Queue.create ();
-    queued = 0;
     encoding = false;
     spool = [];
-    spool_records = 0;
     next_seq = 0;
     last_acked = -1;
     sending = false;
@@ -173,40 +206,7 @@ let create ?(telemetry = R.default) ?(config = default_config) ~wire ~node ~coll
     flush_timer = None;
     partial = Option.map Core.Partial.create config.partial;
     shipped_boundary = Hashtbl.create 64;
-    s_observed = 0;
-    s_reduced = 0;
-    s_partial_coalesced = 0;
-    s_partial_local_flows = 0;
-    s_partial_fallbacks = 0;
-    s_boundary_entries = 0;
-    s_dropped;
-    s_frames = 0;
-    s_retransmits = 0;
-    s_bytes = 0;
-    s_acked = 0;
-    s_connections = 0;
-    c_observed = counter "Own-host records accepted from the probe" "pt_collect_observed_total";
-    c_reduced = counter "Records removed by the agent-local policy" "pt_collect_reduced_total";
-    c_partial_coalesced =
-      counter "Rows merged into a local run head by the partial pass"
-        "pt_hier_partial_coalesced_total";
-    c_partial_local_flows =
-      counter "Flows resolved inside the host by the partial pass"
-        "pt_hier_partial_local_flows_total";
-    c_partial_fallbacks =
-      counter "Batches shipped raw because the partial pass exceeded its budget"
-        "pt_hier_partial_fallbacks_total";
-    c_boundary_entries =
-      counter "Unresolved-boundary table entries shipped" "pt_hier_boundary_entries_total";
-    c_dropped;
-    c_frames = counter "Frame transmissions (including retransmits)" "pt_collect_frames_shipped_total";
-    c_retransmits = counter "Frames retransmitted after reconnect" "pt_collect_retransmits_total";
-    c_bytes = counter "Wire bytes shipped to the collector" "pt_collect_bytes_shipped_total";
-    c_acked = counter "Records acknowledged by the collector" "pt_collect_acked_records_total";
-    c_connections = counter "Connections dialled to the collector" "pt_collect_connections_total";
-    g_spool_peak =
-      R.gauge telemetry ~help:"Peak records buffered at the agent (batch + encode queue + spool)"
-        ~labels "pt_collect_spool_peak_records";
+    c;
   }
 
 (* Frames written to the socket but not yet acknowledged. The send
@@ -224,10 +224,7 @@ let rec pump t =
       | Some e ->
           t.sending <- true;
           t.in_flight <- Some e;
-          if e.ever_sent then begin
-            t.s_retransmits <- t.s_retransmits + 1;
-            R.incr t.c_retransmits
-          end;
+          if e.ever_sent then t.c.retransmits <- t.c.retransmits + 1;
           e.sent <- true;
           e.ever_sent <- true;
           let bytes =
@@ -235,10 +232,8 @@ let rec pump t =
               ~oldest:(oldest_resendable t) ~host:t.hostname ~watermark:e.watermark
               ~payload:e.payload
           in
-          t.s_frames <- t.s_frames + 1;
-          R.incr t.c_frames;
-          t.s_bytes <- t.s_bytes + String.length bytes;
-          R.add t.c_bytes (String.length bytes);
+          t.c.frames_shipped <- t.c.frames_shipped + 1;
+          t.c.bytes_shipped <- t.c.bytes_shipped + String.length bytes;
           let epoch = t.epoch in
           Wire.send t.wire sock ~proc:t.proc ~chunk:t.cfg.send_chunk bytes ~k:(fun () ->
               if t.epoch = epoch then begin
@@ -272,9 +267,8 @@ let handle_ack t seq =
     t.spool <- kept;
     List.iter
       (fun e ->
-        t.spool_records <- t.spool_records - e.records;
-        t.s_acked <- t.s_acked + e.records;
-        R.add t.c_acked e.records)
+        t.c.spooled_records <- t.c.spooled_records - e.records;
+        t.c.acked_records <- t.c.acked_records + e.records)
       acked;
     ensure_horizon t;
     (* the ack freed send-window slots *)
@@ -289,8 +283,7 @@ let rec connect t =
         if t.epoch <> epoch || not t.alive then Tcp.close (Wire.stack t.wire) sock
         else begin
           t.sock <- Some sock;
-          t.s_connections <- t.s_connections + 1;
-          R.incr t.c_connections;
+          t.c.connections <- t.c.connections + 1;
           (* resend-from-last-ack: everything still spooled goes again *)
           List.iter (fun e -> e.sent <- false) t.spool;
           recv_loop t sock epoch (Frame.Ack_decoder.create ());
@@ -350,15 +343,10 @@ let rec kick_encode t =
       | None -> (kept, Trace.Boundary.empty)
       | Some p ->
           let r = Core.Partial.reduce p kept in
-          if r.Core.Partial.fallback then begin
-            t.s_partial_fallbacks <- t.s_partial_fallbacks + 1;
-            R.incr t.c_partial_fallbacks
-          end
+          if r.Core.Partial.fallback then t.c.partial_fallbacks <- t.c.partial_fallbacks + 1
           else begin
-            t.s_partial_coalesced <- t.s_partial_coalesced + r.Core.Partial.rows_coalesced;
-            R.add t.c_partial_coalesced r.Core.Partial.rows_coalesced;
-            t.s_partial_local_flows <- t.s_partial_local_flows + r.Core.Partial.local_flows;
-            R.add t.c_partial_local_flows r.Core.Partial.local_flows
+            t.c.partial_coalesced <- t.c.partial_coalesced + r.Core.Partial.rows_coalesced;
+            t.c.partial_local_flows <- t.c.partial_local_flows + r.Core.Partial.local_flows
           end;
           (* Announce each boundary flow once, when it first appears —
              re-listing every open connection in every frame would eat
@@ -378,8 +366,7 @@ let rec kick_encode t =
               r.Core.Partial.boundary
           in
           let b = List.length fresh in
-          t.s_boundary_entries <- t.s_boundary_entries + b;
-          R.add t.c_boundary_entries b;
+          t.c.boundary_entries <- t.c.boundary_entries + b;
           (r.Core.Partial.arena, fresh)
     in
     let kept_n = Trace.Arena.length kept in
@@ -393,11 +380,8 @@ let rec kick_encode t =
         if t.epoch = epoch then begin
           t.encoding <- false;
           ignore (Queue.pop t.encode_q);
-          t.queued <- t.queued - n;
-          if n > kept_n then begin
-            t.s_reduced <- t.s_reduced + (n - kept_n);
-            R.add t.c_reduced (n - kept_n)
-          end;
+          t.c.queued_records <- t.c.queued_records - n;
+          t.c.reduced <- t.c.reduced + (n - kept_n);
           let e =
             {
               seq = t.next_seq;
@@ -412,7 +396,7 @@ let rec kick_encode t =
           in
           t.next_seq <- t.next_seq + 1;
           t.spool <- t.spool @ [ e ];
-          t.spool_records <- t.spool_records + kept_n;
+          t.c.spooled_records <- t.c.spooled_records + kept_n;
           pump t;
           kick_encode t
         end)
@@ -432,7 +416,6 @@ let cut t =
     let watermark = Sim_time.of_ns (Trace.Arena.ts arena (n - 1)) in
     t.batch <- Trace.Arena.create ~capacity:(max 1 t.cfg.batch_records) ~host:t.hostname ();
     Queue.push (arena, n, watermark) t.encode_q;
-    t.queued <- t.queued + n;
     kick_encode t
   end
 
@@ -454,7 +437,7 @@ let evict_for_room t =
     | e :: rest when e.sent -> evict_first_unsent (e :: acc) rest
     | e :: rest ->
         t.spool <- List.rev_append acc rest;
-        t.spool_records <- t.spool_records - e.records;
+        t.c.spooled_records <- t.c.spooled_records - e.records;
         drop t "evicted" e.records;
         true
     | [] -> false
@@ -466,8 +449,7 @@ let evict_for_room t =
 
 let observe t (a : Activity.t) =
   if String.equal a.Activity.context.host t.hostname then begin
-    t.s_observed <- t.s_observed + 1;
-    R.incr t.c_observed;
+    t.c.observed <- t.c.observed + 1;
     if not t.alive then drop t "agent_down" 1
     else begin
       if held t >= t.cfg.max_spool_records then begin
@@ -478,7 +460,8 @@ let observe t (a : Activity.t) =
       if held t >= t.cfg.max_spool_records then drop t "buffer_full" 1
       else begin
         Trace.Arena.append_activity t.batch a;
-        R.set_max t.g_spool_peak (float_of_int (held t));
+        t.c.queued_records <- t.c.queued_records + 1;
+        if held t > t.c.spool_peak_records then t.c.spool_peak_records <- held t;
         if batch_n t >= t.cfg.batch_records then cut t else arm_flush t
       end
     end
@@ -506,10 +489,10 @@ let crash t =
         t.flush_timer <- None
     | None -> ());
     (* the open batch and encode queue live in process memory: lost *)
-    drop t "crash" (batch_n t + t.queued);
+    drop t "crash" t.c.queued_records;
     Trace.Arena.clear t.batch;
     Queue.clear t.encode_q;
-    t.queued <- 0
+    t.c.queued_records <- 0
     (* the spool is the agent's disk frame store: it survives *)
   end
 
@@ -521,41 +504,6 @@ let restart t =
     connect t
   end
 
-type stats = {
-  observed : int;
-  reduced : int;
-  partial_coalesced : int;
-  partial_local_flows : int;
-  partial_fallbacks : int;
-  boundary_entries : int;
-  dropped : (string * int) list;
-  frames_shipped : int;
-  retransmits : int;
-  bytes_shipped : int;
-  acked_records : int;
-  spooled_records : int;
-  queued_records : int;
-  connections : int;
-}
-
-let stats t =
-  {
-    observed = t.s_observed;
-    reduced = t.s_reduced;
-    partial_coalesced = t.s_partial_coalesced;
-    partial_local_flows = t.s_partial_local_flows;
-    partial_fallbacks = t.s_partial_fallbacks;
-    boundary_entries = t.s_boundary_entries;
-    dropped =
-      Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) t.s_dropped []
-      |> List.sort compare;
-    frames_shipped = t.s_frames;
-    retransmits = t.s_retransmits;
-    bytes_shipped = t.s_bytes;
-    acked_records = t.s_acked;
-    spooled_records = t.spool_records;
-    queued_records = batch_n t + t.queued;
-    connections = t.s_connections;
-  }
+let stats t = { t.c with observed = t.c.observed }
 
 let dropped_total s = List.fold_left (fun acc (_, n) -> acc + n) 0 s.dropped

@@ -107,25 +107,28 @@ val restart : t -> unit
 
 val is_up : t -> bool
 
+(** The agent's counts. Each agent updates one such record in place;
+    {!stats} returns a copy. *)
 type stats = {
-  observed : int;  (** Own-host records accepted from the probe. *)
-  reduced : int;
+  mutable observed : int;  (** Own-host records accepted from the probe. *)
+  mutable reduced : int;
       (** Records removed before framing — by the agent-local policy and
           by the partial-correlation pass (prefilter + coalescing). *)
-  partial_coalesced : int;  (** Rows merged into a local run head. *)
-  partial_local_flows : int;  (** Flows resolved inside the host. *)
-  partial_fallbacks : int;  (** Batches shipped raw (budget exceeded). *)
-  boundary_entries : int;  (** Unresolved-boundary entries shipped. *)
-  dropped : (string * int) list;
+  mutable partial_coalesced : int;  (** Rows merged into a local run head. *)
+  mutable partial_local_flows : int;  (** Flows resolved inside the host. *)
+  mutable partial_fallbacks : int;  (** Batches shipped raw (budget exceeded). *)
+  mutable boundary_entries : int;  (** Unresolved-boundary entries shipped. *)
+  mutable dropped : (string * int) list;
       (** Records lost, by reason: [agent_down], [buffer_full],
           [evicted], [crash]. Sorted by reason. *)
-  frames_shipped : int;  (** Frame transmissions, including retransmits. *)
-  retransmits : int;
-  bytes_shipped : int;
-  acked_records : int;  (** Records in frames covered by a cumulative ack. *)
-  spooled_records : int;  (** Records framed but not yet acknowledged. *)
-  queued_records : int;  (** Records in the open batch / encode queue. *)
-  connections : int;
+  mutable frames_shipped : int;  (** Frame transmissions, including retransmits. *)
+  mutable retransmits : int;
+  mutable bytes_shipped : int;
+  mutable acked_records : int;  (** Records in frames covered by a cumulative ack. *)
+  mutable spooled_records : int;  (** Records framed but not yet acknowledged. *)
+  mutable queued_records : int;  (** Records in the open batch / encode queue. *)
+  mutable connections : int;
+  mutable spool_peak_records : int;  (** Peak of batch + encode queue + spool. *)
 }
 
 val stats : t -> stats

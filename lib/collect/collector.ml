@@ -6,20 +6,46 @@ module Sim_time = Simnet.Sim_time
 module Address = Simnet.Address
 module R = Telemetry.Registry
 
-type host_state = {
-  mutable expected : int;  (* next seq to deliver, in order *)
-  pending : (int, Frame.t) Hashtbl.t;  (* arrived out of order *)
-  mutable watermark : Sim_time.t;
+(* One host's delivery counts, updated in place: {!stats} copies them and
+   the registry's read-through [host_fields] read them. *)
+type host_stats = {
   mutable delivered_frames : int;
   mutable delivered_records : int;
   mutable duplicate_frames : int;
   mutable skipped_frames : int;
-  c_frames : R.counter;
-  c_records : R.counter;
-  c_duplicates : R.counter;
-  c_skipped : R.counter;
-  g_watermark : R.gauge;
+  mutable watermark : Sim_time.t;
+  mutable next_seq : int;  (* next seq to deliver, in order *)
 }
+
+let host_fields =
+  let count help name read = R.count ~help name read in
+  [
+    count "Frames delivered in order to the sink" "pt_collect_delivered_frames_total" (fun c ->
+        c.delivered_frames);
+    count "Records delivered to the sink" "pt_collect_delivered_records_total" (fun c ->
+        c.delivered_records);
+    count "Duplicate frames discarded (retransmits)" "pt_collect_duplicate_frames_total"
+      (fun c -> c.duplicate_frames);
+    count "Frame seqs skipped as permanent agent-side losses" "pt_collect_skipped_frames_total"
+      (fun c -> c.skipped_frames);
+    R.peak ~help:"Newest delivered host-local watermark (seconds)"
+      "pt_collect_watermark_seconds" (fun c -> Sim_time.to_float_s c.watermark);
+  ]
+
+type host_state = {
+  pending : (int, Frame.t) Hashtbl.t;  (* arrived out of order *)
+  hc : host_stats;
+}
+
+type counts = { mutable decode_errors : int; mutable boundary_entries : int }
+
+let fields =
+  [
+    R.count ~help:"Connections dropped on a corrupt frame stream" "pt_collect_decode_errors_total"
+      (fun c -> c.decode_errors);
+    R.count ~help:"Unresolved-boundary entries delivered alongside reduced frames"
+      "pt_collect_boundary_entries_total" (fun c -> c.boundary_entries);
+  ]
 
 (* Nameable default so [deliver] can skip materialising records when only
    the arena sink (or nobody) is listening. *)
@@ -36,58 +62,38 @@ type t = {
   on_activity : Trace.Activity.t -> unit;
   on_arena : Trace.Arena.t -> unit;
   hosts : (string, host_state) Hashtbl.t;
-  mutable decode_errors : int;
-  mutable boundary_entries : int;
+  c : counts;
   telemetry : R.t;
   h_lag : Telemetry.Histogram.t;
-  c_decode_errors : R.counter;
-  c_boundary_entries : R.counter;
 }
 
 let host_state t hostname =
   match Hashtbl.find_opt t.hosts hostname with
   | Some s -> s
   | None ->
-      let labels = [ ("host", hostname) ] in
-      let counter help name = R.counter t.telemetry ~help ~labels name in
-      let s =
+      let hc =
         {
-          expected = 0;
-          pending = Hashtbl.create 16;
           watermark = Sim_time.zero;
           delivered_frames = 0;
           delivered_records = 0;
           duplicate_frames = 0;
           skipped_frames = 0;
-          c_frames = counter "Frames delivered in order to the sink" "pt_collect_delivered_frames_total";
-          c_records = counter "Records delivered to the sink" "pt_collect_delivered_records_total";
-          c_duplicates = counter "Duplicate frames discarded (retransmits)" "pt_collect_duplicate_frames_total";
-          c_skipped = counter "Frame seqs skipped as permanent agent-side losses" "pt_collect_skipped_frames_total";
-          g_watermark =
-            R.gauge t.telemetry ~help:"Newest delivered host-local watermark (seconds)"
-              ~labels "pt_collect_watermark_seconds";
+          next_seq = 0;
         }
       in
+      let s = { pending = Hashtbl.create 16; hc } in
+      R.register t.telemetry ~labels:[ ("host", hostname) ] host_fields hc;
       Hashtbl.replace t.hosts hostname s;
       s
 
 let deliver t s (f : Frame.t) =
-  s.delivered_frames <- s.delivered_frames + 1;
-  R.incr s.c_frames;
+  let hc = s.hc in
+  hc.delivered_frames <- hc.delivered_frames + 1;
   let arena = f.Frame.arena in
   let n = Trace.Arena.length arena in
-  s.delivered_records <- s.delivered_records + n;
-  R.add s.c_records n;
-  (match f.Frame.boundary with
-  | [] -> ()
-  | b ->
-      let nb = List.length b in
-      t.boundary_entries <- t.boundary_entries + nb;
-      R.add t.c_boundary_entries nb);
-  if Sim_time.(f.Frame.watermark > s.watermark) then begin
-    s.watermark <- f.Frame.watermark;
-    R.set s.g_watermark (Sim_time.to_float_s f.Frame.watermark)
-  end;
+  hc.delivered_records <- hc.delivered_records + n;
+  t.c.boundary_entries <- t.c.boundary_entries + List.length f.Frame.boundary;
+  if Sim_time.(f.Frame.watermark > hc.watermark) then hc.watermark <- f.Frame.watermark;
   let now = Engine.now t.engine in
   for i = 0 to n - 1 do
     (* delivery lag vs the probe's stamp; clamped at zero because the
@@ -105,34 +111,30 @@ let handle_frame t (f : Frame.t) =
   let s = host_state t f.Frame.host in
   (* [oldest] is the agent's resend horizon: anything missing below it
      was evicted at the agent and will never arrive *)
-  if f.Frame.oldest > s.expected then begin
+  if f.Frame.oldest > s.hc.next_seq then begin
     (* The horizon jumped past a gap.  Frames stashed in [pending] below
        the new horizon DID arrive — deliver them in seq order before
        advancing, and count only the genuinely-missing seqs as skipped. *)
-    for seq = s.expected to f.Frame.oldest - 1 do
+    for seq = s.hc.next_seq to f.Frame.oldest - 1 do
       match Hashtbl.find_opt s.pending seq with
       | Some g ->
           Hashtbl.remove s.pending seq;
           deliver t s g
-      | None ->
-          s.skipped_frames <- s.skipped_frames + 1;
-          R.incr s.c_skipped
+      | None -> s.hc.skipped_frames <- s.hc.skipped_frames + 1
     done;
-    s.expected <- f.Frame.oldest
+    s.hc.next_seq <- f.Frame.oldest
   end;
-  if f.Frame.seq < s.expected || Hashtbl.mem s.pending f.Frame.seq then begin
-    s.duplicate_frames <- s.duplicate_frames + 1;
-    R.incr s.c_duplicates
-  end
+  if f.Frame.seq < s.hc.next_seq || Hashtbl.mem s.pending f.Frame.seq then
+    s.hc.duplicate_frames <- s.hc.duplicate_frames + 1
   else Hashtbl.replace s.pending f.Frame.seq f;
   (* flush even on a duplicate: a retransmit's fresh [oldest] may have
-     advanced [expected] past a gap that stashed frames were waiting on *)
+     advanced [next_seq] past a gap that stashed frames were waiting on *)
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt s.pending s.expected with
+    match Hashtbl.find_opt s.pending s.hc.next_seq with
     | Some g ->
-        Hashtbl.remove s.pending s.expected;
-        s.expected <- s.expected + 1;
+        Hashtbl.remove s.pending s.hc.next_seq;
+        s.hc.next_seq <- s.hc.next_seq + 1;
         deliver t s g
     | None -> continue := false
   done;
@@ -145,7 +147,7 @@ let serve t sock =
      tells a restarted agent where to resume *)
   let last_acked = Hashtbl.create 4 in
   let ack_host hostname (s : host_state) k =
-    let cum = s.expected - 1 in
+    let cum = s.hc.next_seq - 1 in
     let prev = Option.value (Hashtbl.find_opt last_acked hostname) ~default:(-1) in
     if cum > prev then begin
       Hashtbl.replace last_acked hostname cum;
@@ -161,8 +163,7 @@ let serve t sock =
           Frame.Decoder.feed dec data;
           match Frame.Decoder.drain dec with
           | Error _ ->
-              t.decode_errors <- t.decode_errors + 1;
-              R.incr t.c_decode_errors;
+              t.c.decode_errors <- t.c.decode_errors + 1;
               Tcp.close (Wire.stack t.wire) sock
           | Ok [] -> loop ()
           | Ok frames ->
@@ -211,54 +212,28 @@ let create ?(telemetry = R.default) ?(recv_chunk = 8192) ?(cpu_per_frame = Sim_t
       on_activity;
       on_arena;
       hosts = Hashtbl.create 8;
-      decode_errors = 0;
-      boundary_entries = 0;
+      c = { decode_errors = 0; boundary_entries = 0 };
       telemetry;
       h_lag =
         R.histogram telemetry
           ~help:"Record delivery lag at the collector vs the probe timestamp"
           "pt_collect_delivery_lag_seconds";
-      c_decode_errors =
-        R.counter telemetry ~help:"Connections dropped on a corrupt frame stream"
-          "pt_collect_decode_errors_total";
-      c_boundary_entries =
-        R.counter telemetry
-          ~help:"Unresolved-boundary entries delivered alongside reduced frames"
-          "pt_collect_boundary_entries_total";
     }
   in
+  R.register telemetry fields t.c;
   Tcp.listen (Wire.stack wire) node ~port ~accept:(fun sock -> serve t sock);
   t
 
 let endpoint t = Address.endpoint (Node.ip t.node) t.port
 
-type host_stats = {
-  delivered_frames : int;
-  delivered_records : int;
-  duplicate_frames : int;
-  skipped_frames : int;
-  watermark : Sim_time.t;
-  next_seq : int;
-}
-
 let stats t =
   Hashtbl.fold
-    (fun hostname (s : host_state) acc ->
-      ( hostname,
-        {
-          delivered_frames = s.delivered_frames;
-          delivered_records = s.delivered_records;
-          duplicate_frames = s.duplicate_frames;
-          skipped_frames = s.skipped_frames;
-          watermark = s.watermark;
-          next_seq = s.expected;
-        } )
-      :: acc)
+    (fun hostname (s : host_state) acc -> (hostname, { s.hc with next_seq = s.hc.next_seq }) :: acc)
     t.hosts []
   |> List.sort compare
 
 let delivered_records t =
-  Hashtbl.fold (fun _ (s : host_state) acc -> acc + s.delivered_records) t.hosts 0
+  Hashtbl.fold (fun _ (s : host_state) acc -> acc + s.hc.delivered_records) t.hosts 0
 
-let decode_errors t = t.decode_errors
-let boundary_entries t = t.boundary_entries
+let decode_errors t = t.c.decode_errors
+let boundary_entries t = t.c.boundary_entries

@@ -38,13 +38,15 @@ val create :
 
 val endpoint : t -> Simnet.Address.endpoint
 
+(** One host's delivery counts. The collector updates one such record per
+    host in place; {!stats} returns copies. *)
 type host_stats = {
-  delivered_frames : int;
-  delivered_records : int;
-  duplicate_frames : int;  (** Retransmits discarded by dedup. *)
-  skipped_frames : int;  (** Sequence numbers skipped as permanent agent-side losses. *)
-  watermark : Simnet.Sim_time.t;  (** Newest host-local watermark delivered. *)
-  next_seq : int;  (** Next frame expected from this host. *)
+  mutable delivered_frames : int;
+  mutable delivered_records : int;
+  mutable duplicate_frames : int;  (** Retransmits discarded by dedup. *)
+  mutable skipped_frames : int;  (** Sequence numbers skipped as permanent agent-side losses. *)
+  mutable watermark : Simnet.Sim_time.t;  (** Newest host-local watermark delivered. *)
+  mutable next_seq : int;  (** Next frame expected from this host. *)
 }
 
 val stats : t -> (string * host_stats) list

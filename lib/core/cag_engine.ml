@@ -3,21 +3,23 @@ module Address = Simnet.Address
 module Intern = Trace.Intern
 module Sim_time = Simnet.Sim_time
 
+(* Every count the engine keeps, in one record updated in place: {!stats}
+   copies it and the registry's read-through [fields] read it. *)
 type stats = {
-  cags_started : int;
-  cags_finished : int;
-  send_merges : int;
-  end_merges : int;
-  receive_merges : int;
-  partial_receives : int;
-  unmatched_receives : int;
-  thread_reuse_blocked : int;
-  orphans : int;
-  crossed_boundaries : int;
-  mmap_entries : int;
-  live_vertices : int;
-  peak_live_vertices : int;
-  evicted_sends : int;
+  mutable cags_started : int;
+  mutable cags_finished : int;
+  mutable send_merges : int;
+  mutable end_merges : int;
+  mutable receive_merges : int;
+  mutable partial_receives : int;
+  mutable unmatched_receives : int;
+  mutable thread_reuse_blocked : int;
+  mutable orphans : int;
+  mutable crossed_boundaries : int;
+  mutable mmap_entries : int;
+  mutable live_vertices : int;
+  mutable peak_live_vertices : int;
+  mutable evicted_sends : int;
 }
 
 (* Both indexes are keyed on process-wide {!Intern} ids: one int hash per
@@ -30,20 +32,7 @@ type t = {
   mutable rev_finished : Cag.t list;
   mutable open_cags : Cag.t list;  (* unfinished, most recent first *)
   mutable next_cag_id : int;
-  mutable cags_started : int;
-  mutable cags_finished : int;
-  mutable send_merges : int;
-  mutable end_merges : int;
-  mutable receive_merges : int;
-  mutable partial_receives : int;
-  mutable unmatched_receives : int;
-  mutable thread_reuse_blocked : int;
-  mutable orphans : int;
-  mutable crossed_boundaries : int;
-  mutable mmap_count : int;
-  mutable live_vertices : int;
-  mutable peak_live : int;
-  mutable evicted_sends : int;
+  c : stats;
 }
 
 let create ?(on_finished = fun _ -> ()) () =
@@ -54,20 +43,23 @@ let create ?(on_finished = fun _ -> ()) () =
     rev_finished = [];
     open_cags = [];
     next_cag_id = 0;
-    cags_started = 0;
-    cags_finished = 0;
-    send_merges = 0;
-    end_merges = 0;
-    receive_merges = 0;
-    partial_receives = 0;
-    unmatched_receives = 0;
-    thread_reuse_blocked = 0;
-    orphans = 0;
-    crossed_boundaries = 0;
-    mmap_count = 0;
-    live_vertices = 0;
-    peak_live = 0;
-    evicted_sends = 0;
+    c =
+      {
+        cags_started = 0;
+        cags_finished = 0;
+        send_merges = 0;
+        end_merges = 0;
+        receive_merges = 0;
+        partial_receives = 0;
+        unmatched_receives = 0;
+        thread_reuse_blocked = 0;
+        orphans = 0;
+        crossed_boundaries = 0;
+        mmap_entries = 0;
+        live_vertices = 0;
+        peak_live_vertices = 0;
+        evicted_sends = 0;
+      };
   }
 
 let has_mmap_send t flow =
@@ -85,14 +77,14 @@ let mmap_deque t flow =
 
 let mmap_push t flow vertex =
   Deque.push_back (mmap_deque t flow) vertex;
-  t.mmap_count <- t.mmap_count + 1
+  t.c.mmap_entries <- t.c.mmap_entries + 1
 
 (* Re-register a SEND whose earlier bytes were already fully consumed but
    which just grew by a merged syscall. It logically precedes any newer
    outstanding SEND on the flow, hence the front. *)
 let mmap_push_front t flow vertex =
   Deque.push_front (mmap_deque t flow) vertex;
-  t.mmap_count <- t.mmap_count + 1
+  t.c.mmap_entries <- t.c.mmap_entries + 1
 
 let mmap_front t flow =
   match Hashtbl.find_opt t.mmap flow with
@@ -103,13 +95,13 @@ let mmap_pop t flow =
   match Hashtbl.find_opt t.mmap flow with
   | Some q when not (Deque.is_empty q) ->
       ignore (Deque.pop_front q);
-      t.mmap_count <- t.mmap_count - 1;
+      t.c.mmap_entries <- t.c.mmap_entries - 1;
       if Deque.is_empty q then Hashtbl.remove t.mmap flow
   | Some _ | None -> ()
 
 let bump_live t n =
-  t.live_vertices <- t.live_vertices + n;
-  if t.live_vertices > t.peak_live then t.peak_live <- t.live_vertices
+  t.c.live_vertices <- t.c.live_vertices + n;
+  if t.c.live_vertices > t.c.peak_live_vertices then t.c.peak_live_vertices <- t.c.live_vertices
 
 (* The CAG a vertex belongs to, unless that CAG has already been output:
    attaching new activities to a finished CAG would corrupt emitted
@@ -132,13 +124,13 @@ let attach_context t ~parent v =
   | Some cag ->
       Cag.Builder.adopt cag v;
       Cag.Builder.add_edge Cag.Context_edge ~parent ~child:v
-  | None -> t.orphans <- t.orphans + 1
+  | None -> t.c.orphans <- t.c.orphans + 1
 
 let handle_begin t ctx (a : Activity.t) =
   let root = Cag.Builder.fresh_vertex a in
   let cag = Cag.Builder.create ~cag_id:t.next_cag_id root in
   t.next_cag_id <- t.next_cag_id + 1;
-  t.cags_started <- t.cags_started + 1;
+  t.c.cags_started <- t.c.cags_started + 1;
   t.open_cags <- cag :: t.open_cags;
   bump_live t 1;
   cmap_set t ctx root
@@ -156,10 +148,10 @@ let finish_cag t cag =
       (Cag.vertices cag)
   then Cag.Builder.mark_deformed cag;
   Cag.Builder.finish cag;
-  t.cags_finished <- t.cags_finished + 1;
+  t.c.cags_finished <- t.c.cags_finished + 1;
   t.rev_finished <- cag :: t.rev_finished;
   t.open_cags <- List.filter (fun c -> c != cag) t.open_cags;
-  t.live_vertices <- t.live_vertices - Cag.size cag;
+  t.c.live_vertices <- t.c.live_vertices - Cag.size cag;
   t.on_finished cag
 
 let handle_end t ctx (a : Activity.t) =
@@ -170,7 +162,7 @@ let handle_end t ctx (a : Activity.t) =
       (* A multi-part response: fold this syscall into the END vertex. *)
       Cag.Builder.grow_send parent a.message.size;
       Cag.Builder.add_source parent a;
-      t.end_merges <- t.end_merges + 1
+      t.c.end_merges <- t.c.end_merges + 1
   | Some parent ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
@@ -181,12 +173,12 @@ let handle_end t ctx (a : Activity.t) =
           cmap_set t ctx v;
           finish_cag t cag
       | None ->
-          t.orphans <- t.orphans + 1;
+          t.c.orphans <- t.c.orphans + 1;
           cmap_set t ctx v)
   | None ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
-      t.orphans <- t.orphans + 1;
+      t.c.orphans <- t.c.orphans + 1;
       cmap_set t ctx v
 
 let handle_send t ctx flow (a : Activity.t) =
@@ -202,7 +194,7 @@ let handle_send t ctx flow (a : Activity.t) =
       Cag.Builder.grow_send parent a.message.size;
       Cag.Builder.add_source parent a;
       if was_drained then mmap_push_front t flow parent;
-      t.send_merges <- t.send_merges + 1
+      t.c.send_merges <- t.c.send_merges + 1
   | Some parent ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
@@ -214,7 +206,7 @@ let handle_send t ctx flow (a : Activity.t) =
          SEND still enters the mmap so its RECEIVEs correlate. *)
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
-      t.orphans <- t.orphans + 1;
+      t.c.orphans <- t.c.orphans + 1;
       cmap_set t ctx v;
       mmap_push t flow v
 
@@ -235,17 +227,17 @@ let existing_receive_of t ctx sender (a : Activity.t) =
 
 let handle_receive t ctx flow (a : Activity.t) =
   match mmap_front t flow with
-  | None -> t.unmatched_receives <- t.unmatched_receives + 1
+  | None -> t.c.unmatched_receives <- t.c.unmatched_receives + 1
   | Some sender ->
       let remaining = Cag.Builder.consume sender a.message.size in
       if remaining > 0 then begin
         (* No vertex yet: park the chunk on the sender so the completing
            RECEIVE vertex can claim the whole message's provenance. *)
         Cag.Builder.stash_pending_source sender a;
-        t.partial_receives <- t.partial_receives + 1
+        t.c.partial_receives <- t.c.partial_receives + 1
       end
       else begin
-        if remaining < 0 then t.crossed_boundaries <- t.crossed_boundaries + 1;
+        if remaining < 0 then t.c.crossed_boundaries <- t.c.crossed_boundaries + 1;
         mmap_pop t flow;
         let full_size = sender.Cag.activity.Activity.message.size in
         let chunks = Cag.Builder.take_pending_sources sender in
@@ -256,7 +248,7 @@ let handle_receive t ctx flow (a : Activity.t) =
             Cag.Builder.refresh_receive v ~timestamp:a.timestamp ~size:full_size;
             List.iter (Cag.Builder.add_source v) chunks;
             Cag.Builder.add_source v a;
-            t.receive_merges <- t.receive_merges + 1
+            t.c.receive_merges <- t.c.receive_merges + 1
         | None ->
             let v = Cag.Builder.fresh_vertex a in
             bump_live t 1;
@@ -273,9 +265,9 @@ let handle_receive t ctx flow (a : Activity.t) =
                 (match cmap_parent t ctx with
                 | Some parent_cntx when same_open_cag parent_cntx sender ->
                     Cag.Builder.add_edge Cag.Context_edge ~parent:parent_cntx ~child:v
-                | Some _ -> t.thread_reuse_blocked <- t.thread_reuse_blocked + 1
+                | Some _ -> t.c.thread_reuse_blocked <- t.c.thread_reuse_blocked + 1
                 | None -> ())
-            | None -> t.orphans <- t.orphans + 1);
+            | None -> t.c.orphans <- t.c.orphans + 1);
             cmap_set t ctx v
       end
 
@@ -297,8 +289,8 @@ let step t (a : Activity.t) =
   in
   step_ids t ~ctx ~flow a
 
-let live_vertices t = t.live_vertices
-let mmap_entries t = t.mmap_count
+let live_vertices t = t.c.live_vertices
+let mmap_entries t = t.c.mmap_entries
 
 let gc t ~older_than =
   let evicted = ref 0 in
@@ -312,12 +304,12 @@ let gc t ~older_than =
         | Some (v : Cag.vertex)
           when Sim_time.(v.Cag.activity.Activity.timestamp < older_than) ->
             ignore (Deque.pop_front q);
-            t.mmap_count <- t.mmap_count - 1;
+            t.c.mmap_entries <- t.c.mmap_entries - 1;
             incr evicted;
             (match v.Cag.cag with
-            | None -> t.live_vertices <- t.live_vertices - 1
+            | None -> t.c.live_vertices <- t.c.live_vertices - 1
             | Some _ -> (
-                t.evicted_sends <- t.evicted_sends + 1;
+                t.c.evicted_sends <- t.c.evicted_sends + 1;
                 (* The owning CAG can no longer match this SEND's receives:
                    if it is still open it will stay unfinished, so flag it
                    deformed rather than silently losing it. *)
@@ -333,20 +325,41 @@ let gc t ~older_than =
 let finished t = List.rev t.rev_finished
 let unfinished t = List.rev t.open_cags
 
-let stats t =
-  {
-    cags_started = t.cags_started;
-    cags_finished = t.cags_finished;
-    send_merges = t.send_merges;
-    end_merges = t.end_merges;
-    receive_merges = t.receive_merges;
-    partial_receives = t.partial_receives;
-    unmatched_receives = t.unmatched_receives;
-    thread_reuse_blocked = t.thread_reuse_blocked;
-    orphans = t.orphans;
-    crossed_boundaries = t.crossed_boundaries;
-    mmap_entries = t.mmap_count;
-    live_vertices = t.live_vertices;
-    peak_live_vertices = t.peak_live;
-    evicted_sends = t.evicted_sends;
-  }
+let stats t = { t.c with cags_started = t.c.cags_started }
+let counts t = t.c
+
+module R = Telemetry.Registry
+
+let fields =
+  let count name help read = R.count ~help name read in
+  [
+    count "pt_engine_cags_started_total" "CAGs begun (BEGIN correlated)" (fun c ->
+        c.cags_started);
+    count "pt_engine_cags_finished_total" "CAGs completed (END correlated)" (fun c ->
+        c.cags_finished);
+    count "pt_engine_send_merges_total" "SEND syscalls folded into an earlier SEND vertex"
+      (fun c -> c.send_merges);
+    count "pt_engine_end_merges_total" "END syscalls folded into an earlier END vertex"
+      (fun c -> c.end_merges);
+    count "pt_engine_receive_merges_total" "RECEIVE completions folded into an existing vertex"
+      (fun c -> c.receive_merges);
+    count "pt_engine_partial_receives_total" "RECEIVEs leaving a SEND partly unmatched"
+      (fun c -> c.partial_receives);
+    count "pt_engine_unmatched_receives_total" "RECEIVEs with no mmap entry" (fun c ->
+        c.unmatched_receives);
+    count "pt_engine_thread_reuse_blocked_total" "Context edges suppressed across CAGs"
+      (fun c -> c.thread_reuse_blocked);
+    count "pt_engine_orphans_total" "Vertices correlated outside any CAG" (fun c -> c.orphans);
+    count "pt_engine_crossed_boundaries_total" "RECEIVEs spanning two logical messages"
+      (fun c -> c.crossed_boundaries);
+    count "pt_engine_evicted_sends_total"
+      "Open-CAG SEND vertices evicted by GC (CAG flagged deformed)" (fun c -> c.evicted_sends);
+    R.level ~help:"Outstanding SEND vertices in the mmap" "pt_engine_mmap_entries" (fun c ->
+        float_of_int c.mmap_entries);
+    R.level ~help:"Vertices of unfinished CAGs plus orphans" "pt_engine_live_vertices"
+      (fun c -> float_of_int c.live_vertices);
+    R.peak ~help:"High-water mark of live vertices" "pt_engine_peak_live_vertices" (fun c ->
+        float_of_int c.peak_live_vertices);
+  ]
+
+let register reg t = R.register reg fields t.c

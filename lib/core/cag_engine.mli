@@ -17,29 +17,32 @@
     RECEIVE applies the thread-reuse check: the context edge is added only
     when both parents already lie in the same CAG. *)
 
+(** The engine's counts. Each engine updates one such record in place;
+    {!stats} returns a copy. *)
 type stats = {
-  cags_started : int;
-  cags_finished : int;
-  send_merges : int;  (** SEND syscalls folded into an earlier SEND vertex. *)
-  end_merges : int;  (** END syscalls folded into an earlier END vertex. *)
-  receive_merges : int;
+  mutable cags_started : int;
+  mutable cags_finished : int;
+  mutable send_merges : int;  (** SEND syscalls folded into an earlier SEND vertex. *)
+  mutable end_merges : int;  (** END syscalls folded into an earlier END vertex. *)
+  mutable receive_merges : int;
       (** RECEIVE completions folded into an existing RECEIVE vertex whose
           SEND grew after first being fully matched (Rule 1 can deliver a
           receive ahead of the sender's continuation syscalls). *)
-  partial_receives : int;  (** RECEIVEs that left a SEND partly unmatched. *)
-  unmatched_receives : int;  (** RECEIVEs with no mmap entry (noise slipping
-                                 past the ranker, or loss). *)
-  thread_reuse_blocked : int;
+  mutable partial_receives : int;  (** RECEIVEs that left a SEND partly unmatched. *)
+  mutable unmatched_receives : int;
+      (** RECEIVEs with no mmap entry (noise slipping past the ranker, or
+          loss). *)
+  mutable thread_reuse_blocked : int;
       (** Context edges suppressed because the parents lay in different
           CAGs (recycled thread serving a new request). *)
-  orphans : int;  (** Vertices correlated outside any CAG. *)
-  crossed_boundaries : int;
+  mutable orphans : int;  (** Vertices correlated outside any CAG. *)
+  mutable crossed_boundaries : int;
       (** RECEIVEs spanning two logical messages; impossible under the
           request/response discipline, counted defensively. *)
-  mmap_entries : int;  (** Outstanding SEND vertices right now. *)
-  live_vertices : int;  (** Vertices of unfinished CAGs plus orphans. *)
-  peak_live_vertices : int;
-  evicted_sends : int;
+  mutable mmap_entries : int;  (** Outstanding SEND vertices right now. *)
+  mutable live_vertices : int;  (** Vertices of unfinished CAGs plus orphans. *)
+  mutable peak_live_vertices : int;
+  mutable evicted_sends : int;
       (** SEND vertices still attached to a CAG when {!gc} evicted them.
           Their owning open CAG is flagged deformed (it would otherwise
           stay unfinished and uncounted forever). *)
@@ -71,6 +74,18 @@ val unfinished : t -> Cag.t list
     activity loss. *)
 
 val stats : t -> stats
+(** A copy of the engine's counts. *)
+
+val counts : t -> stats
+(** The live counts record itself, for registry readers that must not
+    hold the engine (its maps and CAGs). Read it; never write it. *)
+
+val register : Telemetry.Registry.t -> t -> unit
+(** Export the counts as the [pt_engine_*] metrics (docs/TELEMETRY.md),
+    read by the registry at snapshot time: counters and the
+    [mmap_entries]/[live_vertices] levels add across instances,
+    [pt_engine_peak_live_vertices] keeps the maximum. Call once per
+    engine. *)
 
 val live_vertices : t -> int
 val mmap_entries : t -> int

@@ -27,46 +27,58 @@ type result = {
    proxy into familiar units. *)
 let bytes_per_record = 160
 
+(* The run's own counts; the path counts are read off the engine's. *)
+type counts = { activities : int; engine : Cag_engine.stats; mutable peak_held : int }
+
+let fields =
+  let paths state read =
+    R.count ~help:"Causal paths produced" ~labels:[ ("state", state) ] "pt_correlator_paths_total"
+      read
+  in
+  [
+    R.count ~help:"Activities entering the correlator after transform"
+      "pt_correlator_activities_total" (fun c -> c.activities);
+    paths "finished" (fun c -> c.engine.Cag_engine.cags_finished);
+    (* a CAG begun but never finished is a deformed path *)
+    paths "deformed" (fun c ->
+        c.engine.Cag_engine.cags_started - c.engine.Cag_engine.cags_finished);
+    R.peak ~help:"Peak simultaneously-held records (Fig. 11 memory proxy)"
+      "pt_correlator_peak_memory_records" (fun c -> float_of_int c.peak_held);
+  ]
+
 (* The rank/step/gc loop over an already-transformed collection — shared
    between the serial pipeline and the sharded correlator, which runs it
    once per epoch in a worker domain. *)
 let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
   let t0 = match started with Some t -> t | None -> Unix.gettimeofday () in
-  let activities_in =
-    R.counter telemetry ~help:"Activities entering the correlator after transform"
-      "pt_correlator_activities_total"
-  in
-  let commits =
-    R.counter telemetry ~help:"Candidates committed to the CAG engine"
-      "pt_correlator_commits_total"
-  in
   let occupancy =
     R.histogram telemetry
       ~help:"Ranker window occupancy (buffered activities), sampled per candidate"
       "pt_correlator_window_occupancy"
   in
-  R.add activities_in (Trace.Log.total prepared);
   let engine = Cag_engine.create ~on_finished:on_path () in
+  let counts =
+    { activities = Trace.Log.total prepared; engine = Cag_engine.counts engine; peak_held = 0 }
+  in
   let ranker =
     Ranker.create ~window:cfg.window ~skew_allowance:cfg.skew_allowance
       ~ablation:cfg.ablation
       ~has_mmap_send:(Cag_engine.has_mmap_send engine)
       prepared
   in
-  let peak = ref 0 in
-  let steps = ref 0 in
+  R.register telemetry fields counts;
+  Ranker.register telemetry ranker;
+  Cag_engine.register telemetry engine;
   let rec loop () =
     match Ranker.rank ranker with
     | None -> ()
     | Some activity ->
         Cag_engine.step engine activity;
-        incr steps;
-        R.incr commits;
         Telemetry.Histogram.observe occupancy (float_of_int (Ranker.buffered ranker));
         (* Periodically evict unmatched sends that can no longer match:
            anything older than twice the skew allowance behind the
            correlation frontier. *)
-        if !steps land 0xfff = 0 then begin
+        if (Ranker.counts ranker).Ranker.candidates land 0xfff = 0 then begin
           (* Clamp at the trace origin: early activities would otherwise
              yield a negative horizon, and a SEND stamped exactly at time
              zero must never be evicted while still matchable. *)
@@ -81,39 +93,19 @@ let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
           Ranker.buffered ranker + Cag_engine.live_vertices engine
           + Cag_engine.mmap_entries engine
         in
-        if held > !peak then peak := held;
+        if held > counts.peak_held then counts.peak_held <- held;
         loop ()
   in
   R.time telemetry ~labels:[ ("stage", "rank_correlate") ] "pt_correlator_stage_seconds" loop;
   let correlation_time = Unix.gettimeofday () -. t0 in
-  let cags = Cag_engine.finished engine in
-  let deformed = Cag_engine.unfinished engine in
-  let ranker_stats = Ranker.stats ranker in
-  let engine_stats = Cag_engine.stats engine in
-  Pipeline_metrics.add_ranker_stats telemetry ranker_stats;
-  Pipeline_metrics.add_engine_stats telemetry engine_stats;
-  R.add
-    (R.counter telemetry ~help:"Causal paths produced"
-       ~labels:[ ("state", "finished") ]
-       "pt_correlator_paths_total")
-    (List.length cags);
-  R.add
-    (R.counter telemetry ~help:"Causal paths produced"
-       ~labels:[ ("state", "deformed") ]
-       "pt_correlator_paths_total")
-    (List.length deformed);
-  R.set_max
-    (R.gauge telemetry ~help:"Peak simultaneously-held records (Fig. 11 memory proxy)"
-       "pt_correlator_peak_memory_records")
-    (float_of_int !peak);
   {
-    cags;
-    deformed;
-    ranker_stats;
-    engine_stats;
+    cags = Cag_engine.finished engine;
+    deformed = Cag_engine.unfinished engine;
+    ranker_stats = Ranker.stats ranker;
+    engine_stats = Cag_engine.stats engine;
     correlation_time;
-    peak_memory_proxy = !peak;
-    memory_bytes_estimate = !peak * bytes_per_record;
+    peak_memory_proxy = counts.peak_held;
+    memory_bytes_estimate = counts.peak_held * bytes_per_record;
   }
 
 let ignore_path (_ : Cag.t) = ()

@@ -48,10 +48,10 @@ val correlate :
 (** Run the offline pipeline to completion, invoking [on_path] (default:
     nothing) as each causal path completes — the paper's intended online
     use. The run also reports itself into [telemetry] (default
-    {!Telemetry.Registry.default}): per-stage wall time, activities in,
-    commits, window occupancy, the path counts, and the full
-    {!Ranker.stats}/{!Cag_engine.stats} mirror (see docs/TELEMETRY.md for
-    the catalogue). *)
+    {!Telemetry.Registry.default}): per-stage wall time and window
+    occupancy through handles; activities in, the path counts and the
+    peak memory proxy, with the ranker's and engine's own counts, as
+    read-through fields (see docs/TELEMETRY.md for the catalogue). *)
 
 val correlate_arena :
   ?telemetry:Telemetry.Registry.t ->

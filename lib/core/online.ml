@@ -7,60 +7,60 @@ module R = Telemetry.Registry
    physically and skip materialising filtered-out rows just to tee them. *)
 let default_on_activity (_ : Trace.Activity.t) = ()
 
+(* The online run's own counts, plus the ranker's for the live pending
+   depth and straggler level. *)
+type counts = {
+  ranker_counts : Ranker.stats;
+  mutable accepted : int;
+  mutable deformed_paths : int;
+  mutable peak_held : int;
+}
+
+let pending_of c =
+  let r = c.ranker_counts in
+  c.accepted - r.Ranker.candidates - r.Ranker.noise_discarded
+
+let fields =
+  [
+    R.count ~help:"Activities accepted by the online correlator" "pt_online_observed_total"
+      (fun c -> c.accepted);
+    R.count ~help:"Paths completed under degraded conditions and flagged deformed"
+      "pt_online_deformed_paths_total" (fun c -> c.deformed_paths);
+    R.level ~help:"Activities accepted but not yet resolved" "pt_online_pending" (fun c ->
+        float_of_int (pending_of c));
+    R.level ~help:"Streams currently evicted as stragglers" "pt_online_stragglers_active"
+      (fun c -> float_of_int c.ranker_counts.Ranker.stragglers_active);
+    R.peak ~help:"Peak simultaneously-held records online (ranker + engine)"
+      "pt_online_peak_memory_records" (fun c -> float_of_int c.peak_held);
+  ]
+
 type t = {
   transform : Transform.config;
   tmemo : Transform.memo;  (* per-id transform decisions for {!observe_arena} *)
   on_activity : Trace.Activity.t -> unit;
   ranker : Ranker.t;
   engine : Cag_engine.t;
-  telemetry : R.t;
   skew_allowance : Sim_time.span;
-  mutable accepted : int;
-  mutable resolved : int;
+  c : counts;
   mutable watermark : Sim_time.t;  (* latest fed local timestamp, any host *)
-  mutable finished : bool;
-  mutable seen_evictions : int;  (* ranker counts already mirrored *)
-  mutable seen_resyncs : int;
-  m_observed : R.counter;
-  m_paths : R.counter;
-  m_deformed_paths : R.counter;
-  m_pending : R.gauge;
   m_lag : Telemetry.Histogram.t;
-  m_quarantined : Ranker.reject_reason -> R.counter;
-  m_evictions : R.counter;
-  m_resyncs : R.counter;
-  m_stragglers : R.gauge;
-  m_peak_memory : R.gauge;
 }
 
-(* Mirror the ranker's straggler counters incrementally (they advance
-   inside [rank_step], outside our sight) and refresh the live gauges. *)
-let sync_degraded t =
-  let s = Ranker.stats t.ranker in
-  if s.Ranker.stragglers_evicted > t.seen_evictions then begin
-    R.add t.m_evictions (s.Ranker.stragglers_evicted - t.seen_evictions);
-    t.seen_evictions <- s.Ranker.stragglers_evicted
-  end;
-  if s.Ranker.straggler_resyncs > t.seen_resyncs then begin
-    R.add t.m_resyncs (s.Ranker.straggler_resyncs - t.seen_resyncs);
-    t.seen_resyncs <- s.Ranker.straggler_resyncs
-  end;
-  R.set t.m_stragglers (float_of_int (Ranker.stragglers_active t.ranker));
+let note_held t =
   let held =
     Ranker.held t.ranker + Cag_engine.live_vertices t.engine + Cag_engine.mmap_entries t.engine
   in
-  R.set_max t.m_peak_memory (float_of_int held)
+  if held > t.c.peak_held then t.c.peak_held <- held
 
 let drain t =
   let rec loop () =
     match Ranker.rank_step t.ranker with
     | Ranker.Candidate a ->
-        t.resolved <- t.resolved + 1;
         Cag_engine.step t.engine a;
         (* Periodically evict unmatched sends that can no longer match,
            with the horizon clamped at the trace origin (matchable SENDs
            at trace start must survive early GC rounds). *)
-        if t.resolved land 0xfff = 0 then begin
+        if t.c.ranker_counts.Ranker.candidates land 0xfff = 0 then begin
           let horizon =
             Sim_time.max Sim_time.zero
               (Sim_time.add a.Activity.timestamp
@@ -73,9 +73,7 @@ let drain t =
   in
   loop ()
 
-let pending t =
-  let s = Ranker.stats t.ranker in
-  t.accepted - s.Ranker.candidates - s.Ranker.noise_discarded
+let pending t = pending_of t.c
 
 let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
     ?(on_path = fun _ -> ()) ?(on_activity = default_on_activity) ?(telemetry = R.default) () =
@@ -85,13 +83,12 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
       ~on_finished:(fun cag ->
         (match !holder with
         | Some t ->
-            R.incr t.m_paths;
             (* A path completing while some stream is evicted as a
                straggler may be missing that stream's activities: flag it
                deformed so consumers can weigh it. *)
             if Ranker.stragglers_active t.ranker > 0 || Cag.is_deformed cag then begin
               Cag.Builder.mark_deformed cag;
-              R.incr t.m_deformed_paths
+              t.c.deformed_paths <- t.c.deformed_paths + 1
             end;
             (* Completion lag: how far the feed watermark has run past the
                path's END when the path pops out — the "bounded lag" the
@@ -116,69 +113,34 @@ let create ~config ~hosts ?straggler_timeout ?max_buffered ?reorder_slack
       on_activity;
       ranker;
       engine;
-      telemetry;
       skew_allowance = config.Correlator.skew_allowance;
-      accepted = 0;
-      resolved = 0;
+      c =
+        { ranker_counts = Ranker.counts ranker; accepted = 0; deformed_paths = 0; peak_held = 0 };
       watermark = Sim_time.zero;
-      finished = false;
-      seen_evictions = 0;
-      seen_resyncs = 0;
-      m_observed =
-        R.counter telemetry ~help:"Activities accepted by the online correlator"
-          "pt_online_observed_total";
-      m_paths =
-        R.counter telemetry ~help:"Causal paths completed online" "pt_online_paths_total";
-      m_deformed_paths =
-        R.counter telemetry
-          ~help:"Paths completed under degraded conditions and flagged deformed"
-          "pt_online_deformed_paths_total";
-      m_pending =
-        R.gauge telemetry ~help:"Activities accepted but not yet resolved" "pt_online_pending";
       m_lag =
         R.histogram telemetry
           ~help:"Feed-watermark lead over a completing path's END, virtual seconds"
           "pt_online_path_lag_seconds";
-      m_quarantined =
-        (fun reason ->
-          R.counter telemetry ~help:"Malformed records quarantined instead of raising"
-            ~labels:[ ("reason", Ranker.reject_reason_to_string reason) ]
-            "pt_online_quarantined_total");
-      m_evictions =
-        R.counter telemetry ~help:"Streams evicted as stragglers"
-          "pt_online_stragglers_evicted_total";
-      m_resyncs =
-        R.counter telemetry ~help:"Straggler streams reintegrated after catching up"
-          "pt_online_straggler_resyncs_total";
-      m_stragglers =
-        R.gauge telemetry ~help:"Streams currently evicted as stragglers"
-          "pt_online_stragglers_active";
-      m_peak_memory =
-        R.gauge telemetry
-          ~help:"Peak simultaneously-held records online (ranker + engine)"
-          "pt_online_peak_memory_records";
     }
   in
   holder := Some t;
-  (* Pre-register every quarantine reason so the family is exposed (at
-     zero) even on clean feeds. *)
-  List.iter (fun r -> ignore (t.m_quarantined r : R.counter)) Ranker.all_reject_reasons;
+  R.register telemetry fields t.c;
+  Ranker.register telemetry ranker;
+  Cag_engine.register telemetry engine;
   t
 
 let feed_classified t activity =
   match Ranker.feed t.ranker activity with
-  | Ranker.Quarantined reason ->
-      (* Never raises — not even after [finish] or on garbage input;
-         the record is counted and kept for inspection instead. *)
-      R.incr (t.m_quarantined reason)
+  | Ranker.Quarantined _ ->
+      (* Never raises — not even after [finish] or on garbage input; the
+         ranker counts the record and keeps it for inspection instead. *)
+      ()
   | Ranker.Accepted | Ranker.Resorted ->
-      t.accepted <- t.accepted + 1;
-      R.incr t.m_observed;
+      t.c.accepted <- t.c.accepted + 1;
       if Sim_time.(activity.Activity.timestamp > t.watermark) then
         t.watermark <- activity.Activity.timestamp;
       drain t;
-      sync_degraded t;
-      R.set t.m_pending (float_of_int (pending t))
+      note_held t
 
 let observe t raw =
   t.on_activity raw;
@@ -210,13 +172,7 @@ let observe_arena t arena =
 let finish t =
   Ranker.close_input t.ranker;
   drain t;
-  sync_degraded t;
-  R.set t.m_pending (float_of_int (pending t));
-  if not t.finished then begin
-    t.finished <- true;
-    Pipeline_metrics.add_ranker_stats t.telemetry (Ranker.stats t.ranker);
-    Pipeline_metrics.add_engine_stats t.telemetry (Cag_engine.stats t.engine)
-  end
+  note_held t
 
 let paths t = Cag_engine.finished t.engine
 let deformed t = Cag_engine.unfinished t.engine

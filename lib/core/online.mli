@@ -34,11 +34,11 @@
     - malformed records (unknown host, fed after {!finish}, duplicates,
       timestamp regressions beyond the skew allowance, too-late records)
       are quarantined and counted in
-      [pt_online_quarantined_total{reason=...}] — {!observe} never
+      [pt_ranker_quarantined_total{reason=...}] — {!observe} never
       raises; regressions within the allowance are re-sorted into place;
     - [max_buffered] bounds held records: past it the ranker
       force-resolves the oldest window instead of waiting, and the
-      [pt_online_peak_memory_records] gauge mirrors the peak footprint
+      [pt_online_peak_memory_records] gauge reports the peak footprint
       (ranker held records + engine live vertices + mmap entries), the
       online analogue of the offline Fig. 11 memory proxy. *)
 
@@ -62,14 +62,14 @@ val create :
     store writer ([Store.Writer.observe]), so correlation and durable
     capture share one feed. [straggler_timeout], [max_buffered] and
     [reorder_slack] configure the degraded-feed behaviour described
-    above (all off by default). The run reports itself into
-    [telemetry] (default {!Telemetry.Registry.default}): live pending
-    depth ([pt_online_pending]), accepted activities, completed paths, the
-    path-completion lag against the feed watermark
-    ([pt_online_path_lag_seconds]), the degraded-feed counters, and — on
-    {!finish} — the same {!Ranker.stats}/{!Cag_engine.stats} mirror an
-    offline {!Correlator.correlate} run records, so online and offline
-    runs are comparable through one snapshot. *)
+    above (all off by default). The run registers its counts with
+    [telemetry] (default {!Telemetry.Registry.default}), which reads them
+    live at every snapshot: pending depth ([pt_online_pending]), accepted
+    activities, stragglers, the path-completion lag against the feed
+    watermark ([pt_online_path_lag_seconds]), and the same
+    [pt_ranker_*]/[pt_engine_*] counts an offline {!Correlator.correlate}
+    run exports, so online and offline runs are comparable through one
+    snapshot. Several instances on one registry add up. *)
 
 val observe : t -> Trace.Activity.t -> unit
 (** Push one raw activity (SEND/RECEIVE, as the probe reports them). The

@@ -27,30 +27,26 @@ let reject_reason_to_string = function
   | Regression -> "regression"
   | Stale -> "stale"
 
-let reason_index = function
-  | Unknown_host -> 0
-  | Closed -> 1
-  | Duplicate -> 2
-  | Regression -> 3
-  | Stale -> 4
-
 let all_reject_reasons = [ Unknown_host; Closed; Duplicate; Regression; Stale ]
 
 type feed_result = Accepted | Resorted | Quarantined of reject_reason
 
+(* Every count the ranker keeps, in one record updated in place: {!stats}
+   copies it and the registry's read-through [fields] read it. *)
 type stats = {
-  fetched : int;
-  candidates : int;
-  noise_discarded : int;
-  promotions : int;
-  forced_fetches : int;
-  forced_discards : int;
-  peak_buffered : int;
-  resorted : int;
-  quarantined : (reject_reason * int) list;
-  stragglers_evicted : int;
-  straggler_resyncs : int;
-  backpressure_pops : int;
+  mutable fetched : int;
+  mutable candidates : int;
+  mutable noise_discarded : int;
+  mutable promotions : int;
+  mutable forced_fetches : int;
+  mutable forced_discards : int;
+  mutable peak_buffered : int;
+  mutable resorted : int;
+  mutable quarantined : (reject_reason * int) list;
+  mutable stragglers_evicted : int;
+  mutable straggler_resyncs : int;
+  mutable backpressure_pops : int;
+  mutable stragglers_active : int;
 }
 
 type ablation = { disable_rule1 : bool; disable_promotion : bool }
@@ -77,21 +73,10 @@ type t = {
          target exactly that queue. *)
   has_mmap_send : Address.flow -> bool;
   quarantine_log : (reject_reason * Activity.t) Deque.t;
-  quarantine_counts : int array;  (* indexed by [reason_index] *)
+  c : stats;
   mutable watermark : Sim_time.t;  (* max feed timestamp across streams *)
   mutable buffered : int;
   mutable backlog : int;  (* fed but not yet fetched into a queue *)
-  mutable fetched : int;
-  mutable candidates : int;
-  mutable noise_discarded : int;
-  mutable promotions : int;
-  mutable forced_fetches : int;
-  mutable forced_discards : int;
-  mutable peak_buffered : int;
-  mutable resorted : int;
-  mutable stragglers_evicted : int;
-  mutable straggler_resyncs : int;
-  mutable backpressure_pops : int;
   mutable force_step : Sim_time.span;
       (* Current deferred-noise fetch increment; doubles while consecutive
          force-fetches fail to surface a candidate, resets on success. *)
@@ -122,21 +107,25 @@ let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reo
     buffered_sends = Address.Flow_table.create 256;
     has_mmap_send;
     quarantine_log = Deque.create ();
-    quarantine_counts = Array.make 5 0;
+    c =
+      {
+        fetched = 0;
+        candidates = 0;
+        noise_discarded = 0;
+        promotions = 0;
+        forced_fetches = 0;
+        forced_discards = 0;
+        peak_buffered = 0;
+        resorted = 0;
+        quarantined = List.map (fun r -> (r, 0)) all_reject_reasons;
+        stragglers_evicted = 0;
+        straggler_resyncs = 0;
+        backpressure_pops = 0;
+        stragglers_active = 0;
+      };
     watermark = Sim_time.zero;
     buffered = 0;
     backlog = 0;
-    fetched = 0;
-    candidates = 0;
-    noise_discarded = 0;
-    promotions = 0;
-    forced_fetches = 0;
-    forced_discards = 0;
-    peak_buffered = 0;
-    resorted = 0;
-    stragglers_evicted = 0;
-    straggler_resyncs = 0;
-    backpressure_pops = 0;
     force_step = window;
   }
 
@@ -190,12 +179,15 @@ let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_abl
     ~has_mmap_send streams
 
 let quarantine t reason a =
-  t.quarantine_counts.(reason_index reason) <- t.quarantine_counts.(reason_index reason) + 1;
+  t.c.quarantined <- List.map (fun (r, n) -> (r, if r = reason then n + 1 else n)) t.c.quarantined;
   if Deque.length t.quarantine_log >= quarantine_cap then ignore (Deque.pop_front t.quarantine_log);
   Deque.push_back t.quarantine_log (reason, a);
   Quarantined reason
 
-let close_input t = Array.iter (fun s -> s.closed <- true) t.streams
+let close_input t =
+  Array.iter (fun s -> s.closed <- true) t.streams;
+  (* closed streams no longer count as evicted *)
+  t.c.stragglers_active <- 0
 
 let buffered_send_count t flow =
   match Address.Flow_table.find_opt t.buffered_sends flow with
@@ -213,8 +205,8 @@ let count_send t i (a : Activity.t) delta =
   | Activity.Begin | Activity.End_ | Activity.Receive -> ()
 
 let note_buffered t =
-  t.fetched <- t.fetched + 1;
-  if t.buffered > t.peak_buffered then t.peak_buffered <- t.buffered
+  t.c.fetched <- t.c.fetched + 1;
+  if t.buffered > t.c.peak_buffered then t.c.peak_buffered <- t.buffered
 
 let push t i a =
   Deque.push_back t.queues.(i) a;
@@ -279,7 +271,7 @@ let feed t (a : Activity.t) =
               insert_item stream !pos a;
               t.backlog <- t.backlog + 1);
           stream.last_fed <- Some a;
-          t.resorted <- t.resorted + 1;
+          t.c.resorted <- t.c.resorted + 1;
           Resorted
         end
       end
@@ -300,7 +292,8 @@ let feed t (a : Activity.t) =
              (* Reintegrate: the stream rejoins the wait set and the next
                 [refill] performs the resync fetch of its backlog. *)
              stream.lagging <- false;
-             t.straggler_resyncs <- t.straggler_resyncs + 1
+             t.c.stragglers_active <- t.c.stragglers_active - 1;
+             t.c.straggler_resyncs <- t.c.straggler_resyncs + 1
            end);
         Accepted
       end
@@ -419,7 +412,7 @@ let try_promote t hs =
         match Deque.find_index q (matching_send flow) with
         | Some i when i > 0 && promotable q i ->
             Deque.promote q i;
-            t.promotions <- t.promotions + 1;
+            t.c.promotions <- t.c.promotions + 1;
             true
         | Some _ | None -> false)
     | Some _ | None -> false
@@ -457,7 +450,7 @@ let try_force_fetch t hs =
       let doubled = Sim_time.span_add t.force_step t.force_step in
       if Sim_time.compare_span doubled t.skew_allowance <= 0 then t.force_step <- doubled
       else t.force_step <- t.skew_allowance;
-      t.forced_fetches <- t.forced_fetches + 1;
+      t.c.forced_fetches <- t.c.forced_fetches + 1;
       true
   | Some _ | None -> false
 
@@ -474,7 +467,8 @@ let straggler_skippable t s =
   match t.straggler_timeout with
   | Some limit when Sim_time.compare_span (Sim_time.diff t.watermark s.last_ts) limit > 0 ->
       s.lagging <- true;
-      t.stragglers_evicted <- t.stragglers_evicted + 1;
+      t.c.stragglers_active <- t.c.stragglers_active + 1;
+      t.c.stragglers_evicted <- t.c.stragglers_evicted + 1;
       true
   | Some _ | None -> false
 
@@ -535,14 +529,14 @@ let rec rank_step t =
          reassuring input and force-resolve the oldest window instead. *)
       let force = over_budget t in
       let emit i =
-        t.candidates <- t.candidates + 1;
+        t.c.candidates <- t.c.candidates + 1;
         t.force_step <- t.window;
         Candidate (pop t i)
       in
       let emit_or_wait i a =
         if safe_to_pop t a then emit i
         else if force then begin
-          t.backpressure_pops <- t.backpressure_pops + 1;
+          t.c.backpressure_pops <- t.c.backpressure_pops + 1;
           emit i
         end
         else Need_input
@@ -580,10 +574,10 @@ let rec rank_step t =
                 let decidable = noise_decidable t suspect in
                 if (not decidable) && not force then Need_input
                 else begin
-                  if not decidable then t.backpressure_pops <- t.backpressure_pops + 1;
+                  if not decidable then t.c.backpressure_pops <- t.c.backpressure_pops + 1;
                   ignore (pop t i);
-                  t.noise_discarded <- t.noise_discarded + 1;
-                  if forced then t.forced_discards <- t.forced_discards + 1;
+                  t.c.noise_discarded <- t.c.noise_discarded + 1;
+                  if forced then t.c.forced_discards <- t.c.forced_discards + 1;
                   rank_step t
                 end
               end))
@@ -593,26 +587,47 @@ let rank t =
 
 let buffered t = t.buffered
 
-let stragglers_active t =
-  Array.fold_left (fun n s -> if s.lagging && not s.closed then n + 1 else n) 0 t.streams
+let stragglers_active t = t.c.stragglers_active
 
 let quarantine_log t = Deque.to_list t.quarantine_log
 
-let quarantined_total t = Array.fold_left ( + ) 0 t.quarantine_counts
+let quarantined_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.c.quarantined
 
-let stats t =
-  {
-    fetched = t.fetched;
-    candidates = t.candidates;
-    noise_discarded = t.noise_discarded;
-    promotions = t.promotions;
-    forced_fetches = t.forced_fetches;
-    forced_discards = t.forced_discards;
-    peak_buffered = t.peak_buffered;
-    resorted = t.resorted;
-    quarantined =
-      List.map (fun r -> (r, t.quarantine_counts.(reason_index r))) all_reject_reasons;
-    stragglers_evicted = t.stragglers_evicted;
-    straggler_resyncs = t.straggler_resyncs;
-    backpressure_pops = t.backpressure_pops;
-  }
+let stats t = { t.c with fetched = t.c.fetched }
+let counts t = t.c
+
+module R = Telemetry.Registry
+
+let fields =
+  let count name help read = R.count ~help name read in
+  [
+    count "pt_ranker_fetched_total" "Activities pulled into the ranker buffer" (fun c -> c.fetched);
+    count "pt_ranker_candidates_total" "Candidates emitted by the ranker" (fun c -> c.candidates);
+    count "pt_ranker_noise_discarded_total" "RECEIVEs discarded as noise" (fun c ->
+        c.noise_discarded);
+    count "pt_ranker_promotions_total" "Concurrency-disturbance head swaps" (fun c ->
+        c.promotions);
+    count "pt_ranker_forced_fetches_total" "Window extensions for deferred noise checks"
+      (fun c -> c.forced_fetches);
+    count "pt_ranker_forced_discards_total"
+      "Discards of receives with unpromotable buffered sends" (fun c -> c.forced_discards);
+    count "pt_ranker_resorted_total"
+      "Late records re-sorted into place within the skew allowance" (fun c -> c.resorted);
+    count "pt_ranker_stragglers_evicted_total"
+      "Streams marked lagging past the straggler timeout" (fun c -> c.stragglers_evicted);
+    count "pt_ranker_straggler_resyncs_total" "Lagging streams reintegrated after catching up"
+      (fun c -> c.straggler_resyncs);
+    count "pt_ranker_backpressure_pops_total"
+      "Oldest-window force-resolutions under max_buffered" (fun c -> c.backpressure_pops);
+    R.peak ~help:"High-water mark of buffered activities" "pt_ranker_peak_buffered" (fun c ->
+        float_of_int c.peak_buffered);
+  ]
+  @ List.map
+      (fun r ->
+        R.count ~help:"Malformed records quarantined by the ranker"
+          ~labels:[ ("reason", reject_reason_to_string r) ]
+          "pt_ranker_quarantined_total"
+          (fun c -> List.assoc r c.quarantined))
+      all_reject_reasons
+
+let register reg t = R.register reg fields t.c

@@ -42,24 +42,27 @@ type feed_result =
   | Resorted  (** A tolerable regression, re-sorted into place. *)
   | Quarantined of reject_reason
 
+(** The ranker's counts. Each ranker updates one such record in place
+    ({!counts}); {!stats} returns a copy. *)
 type stats = {
-  fetched : int;  (** Activities pulled into the buffer. *)
-  candidates : int;  (** Activities returned by [rank]. *)
-  noise_discarded : int;  (** RECEIVEs dropped by the [is_noise] check. *)
-  promotions : int;  (** Concurrency-disturbance head swaps. *)
-  forced_fetches : int;  (** Window extensions for deferred noise checks. *)
-  forced_discards : int;
+  mutable fetched : int;  (** Activities pulled into the buffer. *)
+  mutable candidates : int;  (** Activities returned by [rank]. *)
+  mutable noise_discarded : int;  (** RECEIVEs dropped by the [is_noise] check. *)
+  mutable promotions : int;  (** Concurrency-disturbance head swaps. *)
+  mutable forced_fetches : int;  (** Window extensions for deferred noise checks. *)
+  mutable forced_discards : int;
       (** Discards of a RECEIVE whose matching SEND was buffered but
           unpromotable — expected to be zero; a non-zero value flags an
           interleaving outside the algorithm's assumptions. *)
-  peak_buffered : int;  (** High-water mark of buffered activities. *)
-  resorted : int;  (** Late records re-sorted into place. *)
-  quarantined : (reject_reason * int) list;  (** Per-reason reject counts. *)
-  stragglers_evicted : int;  (** Streams marked lagging past the timeout. *)
-  straggler_resyncs : int;  (** Lagging streams reintegrated on catch-up. *)
-  backpressure_pops : int;
+  mutable peak_buffered : int;  (** High-water mark of buffered activities. *)
+  mutable resorted : int;  (** Late records re-sorted into place. *)
+  mutable quarantined : (reject_reason * int) list;  (** Per-reason reject counts. *)
+  mutable stragglers_evicted : int;  (** Streams marked lagging past the timeout. *)
+  mutable straggler_resyncs : int;  (** Lagging streams reintegrated on catch-up. *)
+  mutable backpressure_pops : int;
       (** Candidates force-resolved (or noise force-discarded) because
           held records exceeded [max_buffered]. *)
+  mutable stragglers_active : int;  (** Open streams evicted right now. *)
 }
 
 type ablation = { disable_rule1 : bool; disable_promotion : bool }
@@ -173,3 +176,13 @@ val quarantine_log : t -> (reject_reason * Trace.Activity.t) list
 val quarantined_total : t -> int
 
 val stats : t -> stats
+(** A copy of the ranker's counts. *)
+
+val counts : t -> stats
+(** The live counts record itself, for registry readers that must not
+    hold the ranker (its queues and streams). Read it; never write it. *)
+
+val register : Telemetry.Registry.t -> t -> unit
+(** Export the counts as the [pt_ranker_*] metrics (docs/TELEMETRY.md):
+    counters add across instances, [pt_ranker_peak_buffered] keeps the
+    maximum. Call once per ranker. *)

@@ -185,6 +185,7 @@ let merge_ranker (a : Ranker.stats) (b : Ranker.stats) : Ranker.stats =
     stragglers_evicted = a.stragglers_evicted + b.stragglers_evicted;
     straggler_resyncs = a.straggler_resyncs + b.straggler_resyncs;
     backpressure_pops = a.backpressure_pops + b.backpressure_pops;
+    stragglers_active = a.stragglers_active + b.stragglers_active;
   }
 
 let merge_engine (a : Cag_engine.stats) (b : Cag_engine.stats) : Cag_engine.stats =

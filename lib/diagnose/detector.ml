@@ -106,6 +106,24 @@ type mix_flags = {
   mutable m_shift_armed : bool;
 }
 
+(* The detector's counts: {!paths_seen} and the registry's read-through
+   [fields] both read them. *)
+type counts = {
+  mutable paths : int;
+  mutable windows : int;
+  mutable baseline_patterns : int;
+}
+
+let fields =
+  [
+    Registry.count ~help:"Finished paths consumed by the streaming detector"
+      "pt_diagnose_paths_total" (fun c -> c.paths);
+    Registry.count ~help:"Full per-pattern windows judged against the baseline"
+      "pt_diagnose_windows_total" (fun c -> c.windows);
+    Registry.level ~help:"Patterns in the baseline the detector is armed with"
+      "pt_diagnose_baseline_patterns" (fun c -> float_of_int c.baseline_patterns);
+  ]
+
 type t = {
   config : config;
   telemetry : Registry.t;
@@ -121,10 +139,7 @@ type t = {
   mutable drop_armed : bool;
   mutable surge_armed : bool;
   mutable verdicts_rev : verdict list;
-  mutable n_paths : int;
-  c_paths : Registry.counter;
-  c_windows : Registry.counter;
-  g_baseline_patterns : Registry.gauge;
+  c : counts;
 }
 
 let create ?(config = default_config) ?baseline ?now
@@ -145,33 +160,21 @@ let create ?(config = default_config) ?baseline ?now
       drop_armed = true;
       surge_armed = true;
       verdicts_rev = [];
-      n_paths = 0;
-      c_paths =
-        Registry.counter telemetry
-          ~help:"Finished paths consumed by the streaming detector"
-          "pt_diagnose_paths_total";
-      c_windows =
-        Registry.counter telemetry
-          ~help:"Full per-pattern windows judged against the baseline"
-          "pt_diagnose_windows_total";
-      g_baseline_patterns =
-        Registry.gauge telemetry
-          ~help:"Patterns in the baseline the detector is armed with"
-          "pt_diagnose_baseline_patterns";
+      c = { paths = 0; windows = 0; baseline_patterns = 0 };
     }
   in
+  Registry.register telemetry fields t.c;
   (match baseline with
   | Some bl ->
       t.bl <- Some bl;
-      Registry.set t.g_baseline_patterns
-        (float_of_int (List.length bl.Baseline.patterns))
+      t.c.baseline_patterns <- List.length bl.Baseline.patterns
   | None -> ());
   t
 
 let warmed t = Option.is_some t.bl
 let baseline t = t.bl
 let verdicts t = List.rev t.verdicts_rev
-let paths_seen t = t.n_paths
+let paths_seen t = t.c.paths
 
 let fire t ~at ~kind ?pattern ?culprit ~baseline_value ~observed_value reason =
   let v =
@@ -183,7 +186,7 @@ let fire t ~at ~kind ?pattern ?culprit ~baseline_value ~observed_value reason =
       baseline_value;
       observed_value;
       reason;
-      paths_seen = t.n_paths;
+      paths_seen = t.c.paths;
     }
   in
   t.verdicts_rev <- v :: t.verdicts_rev;
@@ -217,8 +220,7 @@ let freeze_now t at =
   let bl = Baseline.freeze t.learner in
   t.bl <- Some bl;
   t.frozen_at_s <- Sim_time.to_float_s at;
-  Registry.set t.g_baseline_patterns
-    (float_of_int (List.length bl.Baseline.patterns))
+  t.c.baseline_patterns <- List.length bl.Baseline.patterns
 
 let learn_path t at cag =
   Baseline.learn t.learner cag;
@@ -276,7 +278,7 @@ let check_share t bl at ~signature ~name ps =
   else
     match Baseline.find bl ~signature with
     | Some bp when List.length bp.Baseline.components = ps.p_arity ->
-        Registry.incr t.c_windows;
+        t.c.windows <- t.c.windows + 1;
         let observed = window_profile ps in
         let report =
           Analysis.compare_profiles ~baseline:(Baseline.profile bp) ~observed
@@ -543,8 +545,7 @@ let observe t cag =
     let at =
       match t.now with Some f -> f () | None -> Cag.end_ts cag
     in
-    t.n_paths <- t.n_paths + 1;
-    Registry.incr t.c_paths;
+    t.c.paths <- t.c.paths + 1;
     match t.bl with
     | None ->
         learn_path t at cag;

@@ -28,11 +28,7 @@ type t = {
   buffers : (int, Arena.t) Hashtbl.t;  (* host string id -> batch arena *)
   mutable pending : int;
   mutable manifest : Manifest.t;
-  mutable stats : stats;
-  m_segments : R.counter;
-  m_records_in : R.counter;
-  m_records_out : R.counter;
-  m_bytes_out : R.counter;
+  stats : stats ref;  (* read by {!stats} and by the registry's [fields] *)
   m_flush : Telemetry.Histogram.t;
 }
 
@@ -46,6 +42,18 @@ let zero_stats =
     requests_seen = 0;
     requests_kept = 0;
   }
+
+let fields =
+  [
+    R.count ~help:"Segments written by the store writer" "pt_store_segments_written_total"
+      (fun s -> !s.segments);
+    R.count ~help:"Activities ingested by the store writer" "pt_store_records_ingested_total"
+      (fun s -> !s.records_in);
+    R.count ~help:"Activities written to segments after reduction"
+      "pt_store_records_written_total" (fun s -> !s.records_out);
+    R.count ~help:"Segment payload bytes written" "pt_store_bytes_written_total" (fun s ->
+        !s.bytes_out);
+  ]
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -64,6 +72,8 @@ let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
       match Manifest.load ~dir with Ok m -> m | Error e -> failwith e
     else Manifest.empty
   in
+  let stats = ref zero_stats in
+  R.register telemetry fields stats;
   {
     dir;
     policy;
@@ -74,25 +84,13 @@ let create ?(telemetry = R.default) ?(policy = Policy.none) ?correlate
     buffers = Hashtbl.create 16;
     pending = 0;
     manifest;
-    stats = zero_stats;
-    m_segments =
-      R.counter telemetry ~help:"Segments written by the store writer"
-        "pt_store_segments_written_total";
-    m_records_in =
-      R.counter telemetry ~help:"Activities ingested by the store writer"
-        "pt_store_records_ingested_total";
-    m_records_out =
-      R.counter telemetry ~help:"Activities written to segments after reduction"
-        "pt_store_records_written_total";
-    m_bytes_out =
-      R.counter telemetry ~help:"Segment payload bytes written"
-        "pt_store_bytes_written_total";
+    stats;
     m_flush =
       R.histogram telemetry ~help:"Store segment flush wall time, seconds"
         "pt_store_flush_seconds";
   }
 
-let stats t = t.stats
+let stats t = !(t.stats)
 
 (* Per-host batch arenas, handed out sorted by hostname and each put into
    Log order (timestamp, context, kind) — the order Log.of_list gave the
@@ -139,20 +137,17 @@ let flush t =
     in
     let bytes_out = match meta with Some m -> m.Segment.bytes | None -> 0 in
     let bytes_in = Option.value ~default:bytes_out raw_bytes in
-    t.stats <-
+    let s = !(t.stats) in
+    t.stats :=
       {
-        segments = (t.stats.segments + match meta with Some _ -> 1 | None -> 0);
-        records_in = t.stats.records_in + raw_records;
-        records_out = t.stats.records_out + records_out;
-        bytes_in = t.stats.bytes_in + bytes_in;
-        bytes_out = t.stats.bytes_out + bytes_out;
-        requests_seen = t.stats.requests_seen + requests_seen;
-        requests_kept = t.stats.requests_kept + requests_kept;
+        segments = (s.segments + match meta with Some _ -> 1 | None -> 0);
+        records_in = s.records_in + raw_records;
+        records_out = s.records_out + records_out;
+        bytes_in = s.bytes_in + bytes_in;
+        bytes_out = s.bytes_out + bytes_out;
+        requests_seen = s.requests_seen + requests_seen;
+        requests_kept = s.requests_kept + requests_kept;
       };
-    (match meta with Some _ -> R.incr t.m_segments | None -> ());
-    R.add t.m_records_in raw_records;
-    R.add t.m_records_out records_out;
-    R.add t.m_bytes_out bytes_out;
     Telemetry.Histogram.observe t.m_flush (Unix.gettimeofday () -. t0)
   end
 
@@ -294,4 +289,4 @@ let ingest_native t arenas =
 let close t =
   flush t;
   Manifest.save t.manifest ~dir:t.dir;
-  t.stats
+  stats t

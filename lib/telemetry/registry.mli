@@ -2,23 +2,36 @@
 
     Metrics are identified by name plus a (possibly empty) sorted label
     set, in the Prometheus data model: monotonic {e counters}, last-write
-    {e gauges}, and log-bucketed {e histograms} ({!Histogram}). Handles
-    are resolved once — typically at component creation — and updating
-    through a handle is one or two mutable-field writes, so hot paths
-    (per-event, per-candidate) can afford it.
+    {e gauges}, and log-bucketed {e histograms} ({!Histogram}).
+
+    A metric reaches the registry one of two ways, never both:
+
+    - {b Read-through fields.} A layer that keeps its own counts (the
+      ranker, the CAG engine, a collection agent, ...) {!register}s, once
+      per instance, a static table of {!field}s and the small mutable
+      record holding those counts. {!snapshot} reads every registered
+      record, so each count lives exactly once, in its layer. Samples of
+      several instances with the same name and labels combine: {!count}s
+      and {!level}s add, {!peak}s (high-water marks) take the maximum.
+    - {b Handles} for metrics with no owning counts record: histograms,
+      process-wide tallies (probe, intern tables, the simulator). Handles
+      are resolved once — typically at component creation — and updating
+      through a handle is one or two mutable-field writes, so hot paths
+      (per-event, per-candidate) can afford it.
 
     [default] is the registry every pipeline component reports to unless
     handed another one; tests pass fresh registries to keep runs isolated.
-    Registering the same name with two different metric kinds raises
-    [Invalid_argument]; re-registering the same kind returns the existing
-    handle (so components created repeatedly accumulate, which is what a
+    Registering the same name with two different metric kinds — or as
+    both a handle and a read-through field — raises [Invalid_argument];
+    re-resolving a handle of the same kind returns the existing handle (so
+    components created repeatedly accumulate, which is what a
     whole-process self-profile wants).
 
-    The registry is domain-safe: handle resolution and snapshots are
-    serialised on a per-registry mutex, counter/gauge updates are single
-    atomic operations, and histograms serialise on their own lock — so
-    [pt_*] totals stay exact when several domains (the sharded
-    correlator's workers) report into one registry concurrently. *)
+    The registry is domain-safe: handle resolution, registration and
+    snapshots are serialised on a per-registry mutex, counter/gauge
+    updates are single atomic operations, and histograms serialise on
+    their own lock. A registered counts record is written by the one
+    domain that owns its layer instance and only read by {!snapshot}. *)
 
 type t
 
@@ -52,6 +65,31 @@ val histogram :
   Histogram.t
 val observe : Histogram.t -> float -> unit
 (** Alias for {!Histogram.observe}, for call-site symmetry. *)
+
+(** {1 Read-through fields} *)
+
+type 'a field
+(** How to read one metric off a layer's counts record ['a]. Field tables
+    are static; the per-instance state is the record passed to
+    {!register}. *)
+
+val count : ?help:string -> ?labels:(string * string) list -> string -> ('a -> int) -> 'a field
+(** A counter. Instances add. *)
+
+val level : ?help:string -> ?labels:(string * string) list -> string -> ('a -> float) -> 'a field
+(** A gauge for a current level (records held, streams evicted). Instances
+    add. *)
+
+val peak : ?help:string -> ?labels:(string * string) list -> string -> ('a -> float) -> 'a field
+(** A gauge for a high-water mark. Instances take the maximum. *)
+
+val register : t -> ?labels:(string * string) list -> 'a field list -> 'a -> unit
+(** [register reg ~labels fields counts] adds one layer instance: every
+    later {!snapshot} reads [counts] through [fields], with [labels]
+    (e.g. the instance's host) added to each field's own labels. Readers
+    must close over the counts record only — never over queues, logs or
+    other run-sized state — so a registry outliving many runs retains a
+    few words per run. *)
 
 (** {1 Timer spans} *)
 
@@ -89,7 +127,7 @@ type family = { name : string; help : string; samples : sample list }
 
 val snapshot : t -> family list
 (** Families sorted by name; samples sorted by label set. Histogram fields
-    are computed at snapshot time. *)
+    and read-through fields are computed at snapshot time. *)
 
 val find_sample : family list -> ?labels:(string * string) list -> string -> value option
 (** Convenience lookup for tests and reports (labels default to []). *)

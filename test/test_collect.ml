@@ -274,6 +274,7 @@ type micro = {
   agent : Agent.t;
   collector : Collector.t;
   sink : Activity.t list ref;  (* delivered, newest first *)
+  reg : R.t;
 }
 
 let make_micro ?(config = Agent.default_config) ?(collector_cpu_per_frame = ST.us 50) () =
@@ -299,7 +300,7 @@ let make_micro ?(config = Agent.default_config) ?(collector_cpu_per_frame = ST.u
       ~collector:(Collector.endpoint collector) ()
   in
   Agent.start agent;
-  { engine; anode; agent; collector; sink }
+  { engine; anode; agent; collector; sink; reg }
 
 (* Feed [n] own-host records, one every [every], starting at [from]. *)
 let feed_records m ~n ~every ~from =
@@ -383,6 +384,70 @@ let test_micro_crash_restart_resends () =
       if Hashtbl.mem seen key then Alcotest.fail "record delivered twice";
       Hashtbl.replace seen key ())
     !(m.sink)
+
+(* The same identity read from a registry snapshot alone, per host:
+   counters for what left the agent, gauges for what it still holds.
+   Returns the records held (spooled + queued) across hosts. *)
+let check_registry_identity what snap =
+  let host_samples name =
+    match List.find_opt (fun (f : R.family) -> String.equal f.R.name name) snap with
+    | None -> Alcotest.failf "%s missing from registry" name
+    | Some f ->
+        List.map
+          (fun (smp : R.sample) ->
+            let v =
+              match smp.R.value with
+              | R.Counter n -> n
+              | R.Gauge g -> int_of_float g
+              | R.Hist _ -> Alcotest.failf "%s is a histogram" name
+            in
+            (List.assoc "host" smp.R.labels, v))
+          f.R.samples
+  in
+  let per_host name host =
+    List.fold_left (fun acc (h, v) -> if String.equal h host then acc + v else acc) 0
+      (host_samples name)
+  in
+  List.fold_left
+    (fun held (host, observed) ->
+      let v name = per_host name host in
+      let spooled = v "pt_collect_spooled_records" and queued = v "pt_collect_queued_records" in
+      Alcotest.(check int)
+        (Printf.sprintf "%s, %s: observed = reduced + dropped + acked + spooled + queued" what
+           host)
+        observed
+        (v "pt_collect_reduced_total" + v "pt_collect_dropped_total"
+        + v "pt_collect_acked_records_total" + spooled + queued);
+      held + spooled + queued)
+    0
+    (host_samples "pt_collect_observed_total")
+
+let test_micro_registry_conservation () =
+  (* The crash/restart scenario again, snapshotting the registry from
+     engine-scheduled callbacks while records are batched, spooled,
+     unacked, lost to the crash and retransmitted. *)
+  let config = { Agent.default_config with Agent.batch_records = 50 } in
+  let m = make_micro ~config ~collector_cpu_per_frame:(ST.ms 200) () in
+  feed_records m ~n:500 ~every:(ST.ms 1) ~from:(ST.of_ns 1_000_000);
+  ignore
+    (Engine.schedule_at m.engine ~time:(ST.of_ns 150_000_000) (fun () ->
+         Agent.crash m.agent));
+  ignore
+    (Engine.schedule_at m.engine ~time:(ST.of_ns 400_000_000) (fun () ->
+         Agent.restart m.agent));
+  let held_mid_run = ref 0 in
+  List.iter
+    (fun ms ->
+      ignore
+        (Engine.schedule_at m.engine ~time:(ST.of_ns (ms * 1_000_000)) (fun () ->
+             let what = Printf.sprintf "at %d ms" ms in
+             held_mid_run := !held_mid_run + check_registry_identity what (R.snapshot m.reg))))
+    [ 120; 149; 151; 300; 401; 450; 700 ];
+  Engine.run m.engine;
+  Alcotest.(check bool) "snapshots saw records in flight" true (!held_mid_run > 0);
+  ignore (check_registry_identity "at the end" (R.snapshot m.reg) : int);
+  Alcotest.(check bool) "crash dropped records" true
+    (Agent.dropped_total (Agent.stats m.agent) > 0)
 
 let test_micro_drop_oldest_eviction () =
   (* Strangle the agent's NIC so unsent frames pile up in the spool and
@@ -500,6 +565,8 @@ let () =
           Alcotest.test_case "delivery and acks" `Quick test_micro_delivery_and_acks;
           Alcotest.test_case "crash/restart resends from last ack" `Quick
             test_micro_crash_restart_resends;
+          Alcotest.test_case "registry conservation mid-run" `Quick
+            test_micro_registry_conservation;
           Alcotest.test_case "drop-oldest eviction and gap skip" `Quick
             test_micro_drop_oldest_eviction;
           Alcotest.test_case "block overflow drops incoming" `Quick

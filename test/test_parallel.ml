@@ -166,7 +166,6 @@ let test_plan_degrades_to_one_epoch () =
 let invariant_counters =
   [
     "pt_correlator_activities_total";
-    "pt_correlator_commits_total";
     "pt_correlator_paths_total";
     "pt_ranker_fetched_total";
     "pt_ranker_candidates_total";

@@ -143,6 +143,42 @@ let test_registry_gauges () =
   R.set_max g 9.0;
   feq "set_max raises" 9.0 (R.gauge_value g)
 
+(* Read-through fields: several registered instances combine per name and
+   labels — counts and levels add, peaks take the maximum — and a
+   read-through name never doubles as a handle. *)
+type toy = { mutable n : int; mutable held : int; mutable top : int }
+
+let toy_fields =
+  [
+    R.count "pt_toy_total" (fun c -> c.n);
+    R.level "pt_toy_held" (fun c -> float_of_int c.held);
+    R.peak "pt_toy_peak" (fun c -> float_of_int c.top);
+  ]
+
+let test_registry_read_through () =
+  let reg = R.create () in
+  let a = { n = 3; held = 2; top = 7 } and b = { n = 4; held = 5; top = 6 } in
+  R.register reg toy_fields a;
+  R.register reg toy_fields b;
+  R.register reg ~labels:[ ("host", "x") ] toy_fields { n = 100; held = 0; top = 0 };
+  a.n <- a.n + 1;
+  let snap = R.snapshot reg in
+  (match R.find_sample snap "pt_toy_total" with
+  | Some (R.Counter n) -> Alcotest.(check int) "counts add, read live" 8 n
+  | _ -> Alcotest.fail "pt_toy_total");
+  (match R.find_sample snap "pt_toy_held" with
+  | Some (R.Gauge v) -> feq "levels add" 7.0 v
+  | _ -> Alcotest.fail "pt_toy_held");
+  (match R.find_sample snap "pt_toy_peak" with
+  | Some (R.Gauge v) -> feq "peaks take the max" 7.0 v
+  | _ -> Alcotest.fail "pt_toy_peak");
+  (match R.find_sample snap ~labels:[ ("host", "x") ] "pt_toy_total" with
+  | Some (R.Counter n) -> Alcotest.(check int) "labelled instance apart" 100 n
+  | _ -> Alcotest.fail "pt_toy_total{host=x}");
+  match R.counter reg "pt_toy_total" with
+  | (_ : R.counter) -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let test_registry_span () =
   let reg = R.create () in
   let x = R.time reg "pt_span_seconds" (fun () -> 41 + 1) in
@@ -347,12 +383,52 @@ let test_offline_online_parity () =
     ];
   Alcotest.(check int) "online paths counter = offline cags"
     (List.length off_result.Core.Correlator.cags)
-    (counter_exn on_snap "pt_online_paths_total");
+    (counter_exn on_snap "pt_engine_cags_finished_total");
   (* finish is idempotent: the stats mirror must not double-count. *)
   Online.finish online;
   Alcotest.(check int) "finish idempotent"
     (counter_exn on_snap "pt_engine_cags_finished_total")
     (counter_exn (R.snapshot on) "pt_engine_cags_finished_total")
+
+(* Two online correlators on one registry (as the hierarchical plane runs
+   one per shard): the live pending gauge is the sum of both instances'
+   withheld records, not whichever instance fed last. Records on one host
+   of three are withheld by the 1 s skew allowance, since the silent hosts
+   could still report something earlier. *)
+let test_online_pending_adds () =
+  let reg = R.create () in
+  let cfg = hand_built_config () in
+  let _, app, _ = H.simple_request () in
+  let feed k =
+    let online = Online.create ~config:cfg ~telemetry:reg ~hosts:[ "web"; "app"; "db" ] () in
+    List.iteri (fun i a -> if i < k then Online.observe online a) app;
+    Alcotest.(check int) "withheld" k (Online.pending online)
+  in
+  feed 3;
+  feed 1;
+  feq "pt_online_pending = k + j" 4.0 (gauge_exn (R.snapshot reg) "pt_online_pending")
+
+(* The registry reads each run's counts record and holds nothing else of
+   the run: after a trace four times as long it is no bigger. *)
+let test_registry_retains_counts_only () =
+  let registry_words requests =
+    let reg = R.create () in
+    let trace = List.init requests (fun i -> H.simple_request ~base:(i * 20_000_000) ()) in
+    let log hostname pick = Trace.Log.of_list ~hostname (List.concat_map pick trace) in
+    let logs =
+      [
+        log "web" (fun (w, _, _) -> w);
+        log "app" (fun (_, a, _) -> a);
+        log "db" (fun (_, _, d) -> d);
+      ]
+    in
+    let result = Core.Correlator.correlate ~telemetry:reg (hand_built_config ()) logs in
+    Alcotest.(check int) "all paths" requests (List.length result.Core.Correlator.cags);
+    Obj.reachable_words (Obj.repr reg)
+  in
+  let short = registry_words 100 and long = registry_words 400 in
+  if abs (long - short) >= 1000 then
+    Alcotest.failf "registry grew with the trace: %d words vs %d" long short
 
 let test_tiersim_metrics_over_histogram () =
   let m = Tiersim.Metrics.create () in
@@ -391,6 +467,7 @@ let () =
           Alcotest.test_case "labels separate" `Quick test_registry_labels_separate;
           Alcotest.test_case "kind clash" `Quick test_registry_kind_clash;
           Alcotest.test_case "gauges" `Quick test_registry_gauges;
+          Alcotest.test_case "read-through fields" `Quick test_registry_read_through;
           Alcotest.test_case "timer span" `Quick test_registry_span;
           Alcotest.test_case "snapshot sorted" `Quick test_registry_snapshot_sorted;
         ] );
@@ -407,6 +484,10 @@ let () =
             test_correlate_mirrors_stats;
           Alcotest.test_case "offline/online parity" `Quick
             test_offline_online_parity;
+          Alcotest.test_case "online pending adds across instances" `Quick
+            test_online_pending_adds;
+          Alcotest.test_case "registry retains counts only" `Quick
+            test_registry_retains_counts_only;
           Alcotest.test_case "tiersim metrics" `Quick
             test_tiersim_metrics_over_histogram;
         ] );
