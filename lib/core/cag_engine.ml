@@ -1,6 +1,6 @@
 module Activity = Trace.Activity
 module Address = Simnet.Address
-module Intern = Trace.Intern
+module Id_table = Trace.Intern.Id_table
 module Sim_time = Simnet.Sim_time
 
 (* Every count the engine keeps, in one record updated in place: {!stats}
@@ -22,26 +22,35 @@ type stats = {
   mutable evicted_sends : int;
 }
 
-(* Both indexes are keyed on process-wide {!Intern} ids: one int hash per
-   lookup, no string hashing or structural context comparison on the
-   correlation hot path. *)
+(* Both indexes are keyed on the interned ids the ranker hands over with
+   each candidate: a lookup is an int-indexed bucket probe, with no
+   interning, string hashing or structural comparison on the correlation
+   hot path. *)
 type t = {
-  mmap : (int, Cag.vertex Deque.t) Hashtbl.t;  (* flow id -> outstanding SENDs *)
-  cmap : (int, Cag.vertex) Hashtbl.t;  (* context id -> latest vertex *)
+  mmap : Cag.vertex Deque.t Id_table.t;  (* flow id -> outstanding SENDs *)
+  mutable in_mmap : Bytes.t;
+      (* Bit [flow] is set while [mmap] holds the flow: Rule 1's probe,
+         asked several times per step, is one byte load. *)
+  cmap : Cag.vertex Id_table.t;  (* context id -> latest vertex *)
   on_finished : Cag.t -> unit;
   mutable rev_finished : Cag.t list;
-  mutable open_cags : Cag.t list;  (* unfinished, most recent first *)
+  mutable open_cags : Cag.t list;
+      (* CAGs begun, most recent first; finished ones are dropped lazily
+         (see [finish_cag]). *)
+  mutable open_listed : int;  (* length of [open_cags] *)
   mutable next_cag_id : int;
   c : stats;
 }
 
 let create ?(on_finished = fun _ -> ()) () =
   {
-    mmap = Hashtbl.create 1024;
-    cmap = Hashtbl.create 256;
+    mmap = Id_table.create 1024;
+    in_mmap = Bytes.make 1024 '\000';
+    cmap = Id_table.create 256;
     on_finished;
     rev_finished = [];
     open_cags = [];
+    open_listed = 0;
     next_cag_id = 0;
     c =
       {
@@ -63,16 +72,31 @@ let create ?(on_finished = fun _ -> ()) () =
   }
 
 let has_mmap_send t flow =
-  match Hashtbl.find_opt t.mmap (Intern.flow_id flow) with
-  | Some q -> not (Deque.is_empty q)
-  | None -> false
+  let byte = flow lsr 3 in
+  byte < Bytes.length t.in_mmap
+  && Char.code (Bytes.get t.in_mmap byte) land (1 lsl (flow land 7)) <> 0
+
+let mark_in_mmap t flow present =
+  let byte = flow lsr 3 in
+  if byte >= Bytes.length t.in_mmap then begin
+    let bigger = Bytes.make (max (byte + 1) (2 * Bytes.length t.in_mmap)) '\000' in
+    Bytes.blit t.in_mmap 0 bigger 0 (Bytes.length t.in_mmap);
+    t.in_mmap <- bigger
+  end;
+  let bits = Char.code (Bytes.get t.in_mmap byte) and bit = 1 lsl (flow land 7) in
+  Bytes.set t.in_mmap byte (Char.chr (if present then bits lor bit else bits land lnot bit))
+
+let mmap_remove t flow =
+  Id_table.remove t.mmap flow;
+  mark_in_mmap t flow false
 
 let mmap_deque t flow =
-  match Hashtbl.find_opt t.mmap flow with
-  | Some q -> q
-  | None ->
+  match Id_table.find t.mmap flow with
+  | q -> q
+  | exception Not_found ->
       let q = Deque.create () in
-      Hashtbl.replace t.mmap flow q;
+      Id_table.add t.mmap flow q;
+      mark_in_mmap t flow true;
       q
 
 let mmap_push t flow vertex =
@@ -86,18 +110,19 @@ let mmap_push_front t flow vertex =
   Deque.push_front (mmap_deque t flow) vertex;
   t.c.mmap_entries <- t.c.mmap_entries + 1
 
+(* The flow's oldest outstanding SEND; [Not_found] when there is none. *)
 let mmap_front t flow =
-  match Hashtbl.find_opt t.mmap flow with
-  | Some q -> Deque.peek_front q
-  | None -> None
+  match Id_table.find t.mmap flow with
+  | q when not (Deque.is_empty q) -> Deque.front q
+  | _ -> raise Not_found
 
 let mmap_pop t flow =
-  match Hashtbl.find_opt t.mmap flow with
-  | Some q when not (Deque.is_empty q) ->
+  match Id_table.find t.mmap flow with
+  | q when not (Deque.is_empty q) ->
       ignore (Deque.pop_front q);
       t.c.mmap_entries <- t.c.mmap_entries - 1;
-      if Deque.is_empty q then Hashtbl.remove t.mmap flow
-  | Some _ | None -> ()
+      if Deque.is_empty q then mmap_remove t flow
+  | _ | (exception Not_found) -> ()
 
 let bump_live t n =
   t.c.live_vertices <- t.c.live_vertices + n;
@@ -108,15 +133,16 @@ let bump_live t n =
    results (DESIGN.md clarification on recycled entities after discarded
    noise). *)
 let open_cag_of (v : Cag.vertex) =
-  match v.Cag.cag with Some cag when not (Cag.is_finished cag) -> Some cag | _ -> None
+  match v.Cag.cag with Some cag as open_ when not (Cag.is_finished cag) -> open_ | _ -> None
 
 let same_open_cag a b =
   match (open_cag_of a, open_cag_of b) with
   | Some ca, Some cb -> ca == cb
   | _ -> false
 
-let cmap_parent t ctx = Hashtbl.find_opt t.cmap ctx
-let cmap_set t ctx v = Hashtbl.replace t.cmap ctx v
+(* The context's latest vertex; [Not_found] when it has none yet. *)
+let cmap_parent t ctx = Id_table.find t.cmap ctx
+let cmap_set t ctx v = Id_table.replace t.cmap ctx v
 
 (* Attach [v] under [parent]'s open CAG (if any) with a context edge. *)
 let attach_context t ~parent v =
@@ -132,6 +158,7 @@ let handle_begin t ctx (a : Activity.t) =
   t.next_cag_id <- t.next_cag_id + 1;
   t.c.cags_started <- t.c.cags_started + 1;
   t.open_cags <- cag :: t.open_cags;
+  t.open_listed <- t.open_listed + 1;
   bump_live t 1;
   cmap_set t ctx root
 
@@ -145,25 +172,32 @@ let finish_cag t cag =
       (fun (v : Cag.vertex) ->
         Activity.equal_kind v.Cag.activity.Activity.kind Activity.Send
         && v.Cag.unreceived > 0)
-      (Cag.vertices cag)
+      cag.Cag.rev_vertices
   then Cag.Builder.mark_deformed cag;
   Cag.Builder.finish cag;
   t.c.cags_finished <- t.c.cags_finished + 1;
   t.rev_finished <- cag :: t.rev_finished;
-  t.open_cags <- List.filter (fun c -> c != cag) t.open_cags;
+  (* The finished CAG stays in [open_cags] until finished entries
+     outnumber the open ones: amortised O(1) per path instead of a list
+     copy per END. *)
+  let still_open = t.c.cags_started - t.c.cags_finished in
+  if t.open_listed > (2 * still_open) + 64 then begin
+    t.open_cags <- List.filter (fun c -> not (Cag.is_finished c)) t.open_cags;
+    t.open_listed <- still_open
+  end;
   t.c.live_vertices <- t.c.live_vertices - Cag.size cag;
   t.on_finished cag
 
 let handle_end t ctx (a : Activity.t) =
   match cmap_parent t ctx with
-  | Some parent
+  | parent
     when Activity.equal_kind parent.Cag.activity.Activity.kind Activity.End_
          && Address.flow_equal parent.Cag.activity.Activity.message.flow a.message.flow ->
       (* A multi-part response: fold this syscall into the END vertex. *)
       Cag.Builder.grow_send parent a.message.size;
       Cag.Builder.add_source parent a;
       t.c.end_merges <- t.c.end_merges + 1
-  | Some parent ->
+  | parent ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
       (match open_cag_of parent with
@@ -175,7 +209,7 @@ let handle_end t ctx (a : Activity.t) =
       | None ->
           t.c.orphans <- t.c.orphans + 1;
           cmap_set t ctx v)
-  | None ->
+  | exception Not_found ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
       t.c.orphans <- t.c.orphans + 1;
@@ -183,7 +217,7 @@ let handle_end t ctx (a : Activity.t) =
 
 let handle_send t ctx flow (a : Activity.t) =
   match cmap_parent t ctx with
-  | Some parent
+  | parent
     when Activity.equal_kind parent.Cag.activity.Activity.kind Activity.Send
          && Address.flow_equal parent.Cag.activity.Activity.message.flow a.message.flow ->
       (* Consecutive sends of one logical message: accumulate size. If the
@@ -195,13 +229,13 @@ let handle_send t ctx flow (a : Activity.t) =
       Cag.Builder.add_source parent a;
       if was_drained then mmap_push_front t flow parent;
       t.c.send_merges <- t.c.send_merges + 1
-  | Some parent ->
+  | parent ->
       let v = Cag.Builder.fresh_vertex a in
       bump_live t 1;
       attach_context t ~parent v;
       cmap_set t ctx v;
       mmap_push t flow v
-  | None ->
+  | exception Not_found ->
       (* First activity seen in this context (e.g. an untraced peer): the
          SEND still enters the mmap so its RECEIVEs correlate. *)
       let v = Cag.Builder.fresh_vertex a in
@@ -222,13 +256,15 @@ let existing_receive_of t ctx sender (a : Activity.t) =
   | Some (_, child) -> (
       (* Only reuse it while it is still the context's latest activity;
          otherwise fall back to a fresh vertex. *)
-      match cmap_parent t ctx with Some v when v == child -> Some child | _ -> None)
+      match cmap_parent t ctx with
+      | v when v == child -> Some child
+      | _ | (exception Not_found) -> None)
   | None -> None
 
 let handle_receive t ctx flow (a : Activity.t) =
   match mmap_front t flow with
-  | None -> t.c.unmatched_receives <- t.c.unmatched_receives + 1
-  | Some sender ->
+  | exception Not_found -> t.c.unmatched_receives <- t.c.unmatched_receives + 1
+  | sender ->
       let remaining = Cag.Builder.consume sender a.message.size in
       if remaining > 0 then begin
         (* No vertex yet: park the chunk on the sender so the completing
@@ -263,16 +299,14 @@ let handle_receive t ctx flow (a : Activity.t) =
                 (* Thread-reuse check (pseudo-code lines 29-32): the adjacent
                    context edge is added only if both parents share the CAG. *)
                 (match cmap_parent t ctx with
-                | Some parent_cntx when same_open_cag parent_cntx sender ->
+                | parent_cntx when same_open_cag parent_cntx sender ->
                     Cag.Builder.add_edge Cag.Context_edge ~parent:parent_cntx ~child:v
-                | Some _ -> t.c.thread_reuse_blocked <- t.c.thread_reuse_blocked + 1
-                | None -> ())
+                | _ -> t.c.thread_reuse_blocked <- t.c.thread_reuse_blocked + 1
+                | exception Not_found -> ())
             | None -> t.c.orphans <- t.c.orphans + 1);
             cmap_set t ctx v
       end
 
-(* [step_ids] is the native entry: callers that already hold the row's
-   interned ids (an arena-driven feed) pay no intern lookup at all. *)
 let step_ids t ~ctx ~flow (a : Activity.t) =
   match a.kind with
   | Activity.Begin -> handle_begin t ctx a
@@ -280,22 +314,13 @@ let step_ids t ~ctx ~flow (a : Activity.t) =
   | Activity.Send -> handle_send t ctx flow a
   | Activity.Receive -> handle_receive t ctx flow a
 
-let step t (a : Activity.t) =
-  let ctx = Intern.context_id a.context in
-  let flow =
-    match a.kind with
-    | Activity.Send | Activity.Receive -> Intern.flow_id a.message.flow
-    | Activity.Begin | Activity.End_ -> -1
-  in
-  step_ids t ~ctx ~flow a
-
 let live_vertices t = t.c.live_vertices
 let mmap_entries t = t.c.mmap_entries
 
 let gc t ~older_than =
   let evicted = ref 0 in
   let stale_flows = ref [] in
-  Hashtbl.iter
+  Id_table.iter
     (fun flow q ->
       (* Entries are FIFO per flow, so stale ones sit at the front. *)
       let continue = ref true in
@@ -320,10 +345,11 @@ let gc t ~older_than =
       done;
       if Deque.is_empty q then stale_flows := flow :: !stale_flows)
     t.mmap;
-  List.iter (Hashtbl.remove t.mmap) !stale_flows;
+  List.iter (mmap_remove t) !stale_flows;
   !evicted
+
 let finished t = List.rev t.rev_finished
-let unfinished t = List.rev t.open_cags
+let unfinished t = List.rev (List.filter (fun c -> not (Cag.is_finished c)) t.open_cags)
 
 let stats t = { t.c with cags_started = t.c.cags_started }
 let counts t = t.c

@@ -70,10 +70,10 @@ let correlate_prepared ?(telemetry = R.default) ?started cfg prepared ~on_path =
   Ranker.register telemetry ranker;
   Cag_engine.register telemetry engine;
   let rec loop () =
-    match Ranker.rank ranker with
-    | None -> ()
-    | Some activity ->
-        Cag_engine.step engine activity;
+    match Ranker.rank_step ranker with
+    | Ranker.Need_input | Ranker.Exhausted -> ()
+    | Ranker.Candidate { activity; ctx; flow } ->
+        Cag_engine.step_ids engine ~ctx ~flow activity;
         Telemetry.Histogram.observe occupancy (float_of_int (Ranker.buffered ranker));
         (* Periodically evict unmatched sends that can no longer match:
            anything older than twice the skew allowance behind the

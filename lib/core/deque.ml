@@ -8,7 +8,7 @@ let index t i = (t.head + i) mod Array.length t.buf
 
 let grow t seed =
   let cap = Array.length t.buf in
-  let ncap = if cap = 0 then 16 else 2 * cap in
+  let ncap = if cap = 0 then 4 else 2 * cap in
   let nbuf = Array.make ncap seed in
   for i = 0 to t.len - 1 do
     nbuf.(i) <- t.buf.(index t i)
@@ -28,6 +28,10 @@ let push_front t v =
   t.len <- t.len + 1
 
 let peek_front t = if t.len = 0 then None else Some t.buf.(t.head)
+
+let front t =
+  if t.len = 0 then invalid_arg "Deque.front: empty";
+  t.buf.(t.head)
 
 let pop_front t =
   if t.len = 0 then invalid_arg "Deque.pop_front: empty";

@@ -15,6 +15,10 @@ val push_back : 'a t -> 'a -> unit
 val push_front : 'a t -> 'a -> unit
 val peek_front : 'a t -> 'a option
 
+val front : 'a t -> 'a
+(** {!peek_front} without the option, for allocation-free hot loops.
+    @raise Invalid_argument on an empty deque. *)
+
 val pop_front : 'a t -> 'a
 (** @raise Invalid_argument on an empty deque. *)
 

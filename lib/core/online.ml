@@ -55,8 +55,8 @@ let note_held t =
 let drain t =
   let rec loop () =
     match Ranker.rank_step t.ranker with
-    | Ranker.Candidate a ->
-        Cag_engine.step t.engine a;
+    | Ranker.Candidate { activity = a; ctx; flow } ->
+        Cag_engine.step_ids t.engine ~ctx ~flow a;
         (* Periodically evict unmatched sends that can no longer match,
            with the horizon clamped at the trace origin (matchable SENDs
            at trace start must survive early GC rounds). *)

@@ -1,15 +1,26 @@
 module Activity = Trace.Activity
 module Address = Simnet.Address
+module Intern = Trace.Intern
+module Id_table = Intern.Id_table
 module Sim_time = Simnet.Sim_time
+
+(* A record on its way through the ranker, with the interned ids it was
+   given once, on entry: every later lookup is keyed by these ints. *)
+type candidate = { activity : Activity.t; ctx : int; flow : int }
 
 type stream = {
   host : string;
+  mutable host_block : string;
+      (* The hostname block this stream's records last carried: records
+         of one host share it, so [feed] finds their stream with [==]. *)
   mutable items : Activity.t array;
+  mutable ctxs : int array;  (* [items]' context ids *)
+  mutable flows : int array;  (* [items]' flow ids; -1 for BEGIN/END *)
   mutable len : int;
   mutable cursor : int;
   mutable closed : bool;
   mutable last_ts : Sim_time.t;
-  mutable last_fed : Activity.t option;
+  mutable last_fed : Activity.t;  (* [no_record] until the first feed *)
   mutable last_popped : Sim_time.t;
       (* Highest timestamp committed (popped) from this stream; late
          arrivals below it can no longer be ordered and are quarantined. *)
@@ -17,6 +28,21 @@ type stream = {
       (* Evicted as a straggler: [safe_to_pop]/[noise_decidable] stop
          waiting on this stream until its feed catches the watermark. *)
 }
+
+(* Timestamp order as an int comparison the compiler inlines. *)
+let before (a : Sim_time.t) (b : Sim_time.t) = (a :> int) < (b :> int)
+let not_after (a : Sim_time.t) (b : Sim_time.t) = (a :> int) <= (b :> int)
+
+let no_endpoint = Address.endpoint (Address.ip_of_int 0) 0
+
+(* A fresh block no fed record can be physically equal to. *)
+let no_record =
+  {
+    Activity.kind = Activity.Begin;
+    timestamp = Sim_time.zero;
+    context = { Activity.host = ""; program = ""; pid = 0; tid = 0 };
+    message = { Activity.flow = Address.flow ~src:no_endpoint ~dst:no_endpoint; size = 0 };
+  }
 
 type reject_reason = Unknown_host | Closed | Duplicate | Regression | Stale
 
@@ -57,6 +83,67 @@ let no_ablation = { disable_rule1 = false; disable_promotion = false }
    the log is a ring. *)
 let quarantine_cap = 256
 
+(* Marks an empty queue in [heads]. *)
+let no_candidate = { activity = no_record; ctx = -1; flow = -1 }
+
+(* Per-ranker id memo. Decoded and arena-materialised records share one
+   canonical context block and one flow block per interned id, so small
+   direct-mapped caches, keyed on a few ints and hit on [==], skip
+   [Intern] for nearly every record; anything else falls back to
+   [Intern]. Context caches are per stream, since every host numbers its
+   processes and threads alike. The memo belongs to one ranker, so no two
+   domains ever share it. *)
+type memo = {
+  ctx_blocks : Activity.context array;  (* [ctx_slots] per stream *)
+  ctx_ids : int array;
+  flow_blocks : Address.flow array;
+  flow_ids : int array;
+}
+
+let ctx_slots = 256 (* per stream; a power of two *)
+let flow_slots = 4096 (* a power of two *)
+
+let memo_create ~streams =
+  {
+    ctx_blocks = Array.make (streams * ctx_slots) no_record.context;
+    ctx_ids = Array.make (streams * ctx_slots) 0;
+    flow_blocks = Array.make flow_slots no_record.message.flow;
+    flow_ids = Array.make flow_slots 0;
+  }
+
+let ctx_id m ~stream (c : Activity.context) =
+  let s = (stream * ctx_slots) + (((c.pid * 31) + c.tid) land (ctx_slots - 1)) in
+  if m.ctx_blocks.(s) == c then m.ctx_ids.(s)
+  else begin
+    let id = Intern.context_id c in
+    m.ctx_blocks.(s) <- c;
+    m.ctx_ids.(s) <- id;
+    id
+  end
+
+let flow_slot ({ src; dst } : Address.flow) =
+  let ip = Address.ip_to_int in
+  ((((((ip src.ip * 31) + src.port) * 31) + ip dst.ip) * 31) + dst.port) land (flow_slots - 1)
+
+(* Only SENDs and RECEIVEs are ever looked up by flow. *)
+let flow_id m (a : Activity.t) =
+  match a.kind with
+  | Activity.Begin | Activity.End_ -> -1
+  | Activity.Send | Activity.Receive ->
+      let f = a.message.flow in
+      let s = flow_slot f in
+      if m.flow_blocks.(s) == f then m.flow_ids.(s)
+      else begin
+        let id = Intern.flow_id f in
+        m.flow_blocks.(s) <- f;
+        m.flow_ids.(s) <- id;
+        id
+      end
+
+(* Buffered SENDs of one flow: every SEND of a flow originates on one
+   node, so lookups and promotion searches can target exactly [home]. *)
+type sends = { mutable count : int; mutable home : int }
+
 type t = {
   window : Sim_time.span;
   skew_allowance : Sim_time.span;
@@ -66,24 +153,29 @@ type t = {
   reorder_slack : Sim_time.span;
   streams : stream array;  (* one per node log *)
   host_index : (string, int) Hashtbl.t;  (* host -> index in [streams] *)
-  queues : Activity.t Deque.t array;  (* parallel to [streams] *)
-  buffered_sends : (int * int) Address.Flow_table.t;
-      (* flow -> (buffered SEND count, home queue index): every SEND of a
-         flow originates on one node, so lookups and promotion searches can
-         target exactly that queue. *)
-  has_mmap_send : Address.flow -> bool;
+  queues : candidate Deque.t array;  (* parallel to [streams] *)
+  heads : candidate array;
+      (* Each queue's front, or [no_candidate]: the rules scan heads with
+         plain loads. Kept in step by every queue mutation ([sync_head]). *)
+  buffered_sends : sends Id_table.t;  (* flow id -> its buffered SENDs *)
+  has_mmap_send : int -> bool;
+  memo : memo;
   quarantine_log : (reject_reason * Activity.t) Deque.t;
   c : stats;
   mutable watermark : Sim_time.t;  (* max feed timestamp across streams *)
   mutable buffered : int;
   mutable backlog : int;  (* fed but not yet fetched into a queue *)
+  mutable fetched_to : Sim_time.t option;
+      (* Every unfetched item is later than this, so fetching up to it
+         again would find nothing; [None] once a feed may have broken
+         that. *)
   mutable force_step : Sim_time.span;
       (* Current deferred-noise fetch increment; doubles while consecutive
          force-fetches fail to surface a candidate, resets on success. *)
 }
 
 let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
-    ~has_mmap_send streams =
+    ~has_mmap_send ~memo streams =
   if Sim_time.span_ns window <= 0 then invalid_arg "Ranker.create: window must be positive";
   let host_index = Hashtbl.create (Array.length streams) in
   Array.iteri (fun i s -> Hashtbl.replace host_index s.host i) streams;
@@ -104,8 +196,10 @@ let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reo
     streams;
     host_index;
     queues = Array.map (fun (_ : stream) -> Deque.create ()) streams;
-    buffered_sends = Address.Flow_table.create 256;
+    heads = Array.make (Array.length streams) no_candidate;
+    buffered_sends = Id_table.create 256;
     has_mmap_send;
+    memo;
     quarantine_log = Deque.create ();
     c =
       {
@@ -126,19 +220,27 @@ let make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reo
     watermark = Sim_time.zero;
     buffered = 0;
     backlog = 0;
+    fetched_to = None;
     force_step = window;
   }
 
+(* Batch records enter here: each is interned once, into its stream's id
+   columns. *)
 let create ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
     ~has_mmap_send collection =
+  let memo = memo_create ~streams:(List.length collection) in
   let streams =
     Array.of_list
-      (List.map
-         (fun log ->
-           let items = Array.of_list (Trace.Log.to_list log) in
+      (List.mapi
+         (fun i log ->
+           let items = Trace.Log.to_array log in
+           let host = Trace.Log.hostname log in
            {
-             host = Trace.Log.hostname log;
+             host;
+             host_block = host;
              items;
+             ctxs = Array.map (fun (a : Activity.t) -> ctx_id memo ~stream:i a.context) items;
+             flows = Array.map (flow_id memo) items;
              len = Array.length items;
              cursor = 0;
              closed = true;
@@ -146,14 +248,14 @@ let create ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
                (match Array.length items with
                | 0 -> Sim_time.zero
                | n -> items.(n - 1).Activity.timestamp);
-             last_fed = None;
+             last_fed = no_record;
              last_popped = Sim_time.zero;
              lagging = false;
            })
          collection)
   in
   make ~window ~skew_allowance ~ablation ~straggler_timeout:None ~max_buffered:None
-    ~reorder_slack:(Sim_time.ms 0) ~has_mmap_send streams
+    ~reorder_slack:(Sim_time.ms 0) ~has_mmap_send ~memo streams
 
 let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_ablation)
     ?straggler_timeout ?max_buffered ?(reorder_slack = Sim_time.ms 0) ~has_mmap_send ~hosts ()
@@ -164,19 +266,22 @@ let create_online ~window ?(skew_allowance = Sim_time.sec 1) ?(ablation = no_abl
          (fun host ->
            {
              host;
+             host_block = host;
              items = [||];
+             ctxs = [||];
+             flows = [||];
              len = 0;
              cursor = 0;
              closed = false;
              last_ts = Sim_time.zero;
-             last_fed = None;
+             last_fed = no_record;
              last_popped = Sim_time.zero;
              lagging = false;
            })
          hosts)
   in
   make ~window ~skew_allowance ~ablation ~straggler_timeout ~max_buffered ~reorder_slack
-    ~has_mmap_send streams
+    ~has_mmap_send ~memo:(memo_create ~streams:(List.length hosts)) streams
 
 let quarantine t reason a =
   t.c.quarantined <- List.map (fun (r, n) -> (r, if r = reason then n + 1 else n)) t.c.quarantined;
@@ -190,271 +295,337 @@ let close_input t =
   t.c.stragglers_active <- 0
 
 let buffered_send_count t flow =
-  match Address.Flow_table.find_opt t.buffered_sends flow with
-  | Some (n, _) -> n
-  | None -> 0
+  match Id_table.find t.buffered_sends flow with
+  | b -> b.count
+  | exception Not_found -> 0
 
-let count_send t i (a : Activity.t) delta =
-  match a.kind with
-  | Activity.Send ->
-      let flow = a.message.flow in
-      let n = buffered_send_count t flow in
-      let n' = n + delta in
-      if n' <= 0 then Address.Flow_table.remove t.buffered_sends flow
-      else Address.Flow_table.replace t.buffered_sends flow (n', i)
+let count_send t i (e : candidate) delta =
+  match e.activity.kind with
+  | Activity.Send -> (
+      match Id_table.find t.buffered_sends e.flow with
+      | b ->
+          b.count <- b.count + delta;
+          b.home <- i;
+          if b.count <= 0 then Id_table.remove t.buffered_sends e.flow
+      | exception Not_found ->
+          if delta > 0 then Id_table.add t.buffered_sends e.flow { count = delta; home = i })
   | Activity.Begin | Activity.End_ | Activity.Receive -> ()
 
 let note_buffered t =
   t.c.fetched <- t.c.fetched + 1;
   if t.buffered > t.c.peak_buffered then t.c.peak_buffered <- t.buffered
 
-let push t i a =
-  Deque.push_back t.queues.(i) a;
-  count_send t i a 1;
+let sync_head t i =
+  let q = t.queues.(i) in
+  t.heads.(i) <- (if Deque.is_empty q then no_candidate else Deque.front q)
+
+let push t i e =
+  Deque.push_back t.queues.(i) e;
+  if t.heads.(i) == no_candidate then t.heads.(i) <- e;
+  count_send t i e 1;
   t.buffered <- t.buffered + 1;
   note_buffered t
 
 (* Place a late record among the already-fetched items of its stream. *)
-let insert_fetched t i pos a =
-  Deque.insert t.queues.(i) pos a;
-  count_send t i a 1;
+let insert_fetched t i pos e =
+  Deque.insert t.queues.(i) pos e;
+  sync_head t i;
+  count_send t i e 1;
   t.buffered <- t.buffered + 1;
   note_buffered t
 
-(* Insert [a] into [stream.items] at [pos], growing the array if needed. *)
-let insert_item stream pos a =
+(* Insert [a] and its ids into [stream] at [pos], growing the columns if
+   needed. *)
+let insert_item stream pos a ~ctx ~flow =
   if stream.len = Array.length stream.items then begin
     let ncap = max 64 (2 * Array.length stream.items) in
-    let nitems = Array.make ncap a in
-    Array.blit stream.items 0 nitems 0 stream.len;
-    stream.items <- nitems
+    let grow col fill =
+      let ncol = Array.make ncap fill in
+      Array.blit col 0 ncol 0 stream.len;
+      ncol
+    in
+    stream.items <- grow stream.items a;
+    stream.ctxs <- grow stream.ctxs 0;
+    stream.flows <- grow stream.flows 0
   end;
   for j = stream.len downto pos + 1 do
-    stream.items.(j) <- stream.items.(j - 1)
+    stream.items.(j) <- stream.items.(j - 1);
+    stream.ctxs.(j) <- stream.ctxs.(j - 1);
+    stream.flows.(j) <- stream.flows.(j - 1)
   done;
   stream.items.(pos) <- a;
+  stream.ctxs.(pos) <- ctx;
+  stream.flows.(pos) <- flow;
   stream.len <- stream.len + 1
 
+(* The stream of [host], or -1: first by [==] on each stream's last
+   hostname block, hashing the string only on a miss. *)
+let stream_of_host t host =
+  let n = Array.length t.streams and i = ref 0 in
+  while !i < n && t.streams.(!i).host_block != host do
+    incr i
+  done;
+  if !i < n then !i
+  else
+    match Hashtbl.find_opt t.host_index host with
+    | Some i ->
+        t.streams.(i).host_block <- host;
+        i
+    | None -> -1
+
+(* Live records enter here. *)
 let feed t (a : Activity.t) =
-  let host = a.Activity.context.host in
-  match Hashtbl.find_opt t.host_index host with
-  | None -> quarantine t Unknown_host a
-  | Some i ->
-      let stream = t.streams.(i) in
-      if stream.closed then quarantine t Closed a
-      else if
-        match stream.last_fed with Some prev -> Activity.equal prev a | None -> false
-      then quarantine t Duplicate a
-      else if stream.len > 0 && Sim_time.(a.timestamp < stream.last_ts) then begin
-        (* A timestamp regression. Within the skew allowance the record is
-           merely late — re-sort it into place; beyond it, or behind what
-           this stream already committed, it is unusable. *)
-        let late_by = Sim_time.diff stream.last_ts a.timestamp in
-        if Sim_time.compare_span late_by t.skew_allowance > 0 then quarantine t Regression a
-        else if Sim_time.(a.timestamp < stream.last_popped) then quarantine t Stale a
-        else begin
-          (match
-             Deque.find_index t.queues.(i) (fun (x : Activity.t) ->
-                 Sim_time.(a.timestamp < x.timestamp))
-           with
-          | Some pos -> insert_fetched t i pos a
-          | None ->
-              (* Behind no fetched item: keep the unfetched region sorted.
-                 Regressions are small, so scan from the tail. *)
-              let pos = ref stream.len in
-              while
-                !pos > stream.cursor
-                && Sim_time.(a.timestamp < stream.items.(!pos - 1).Activity.timestamp)
-              do
-                decr pos
-              done;
-              insert_item stream !pos a;
-              t.backlog <- t.backlog + 1);
-          stream.last_fed <- Some a;
-          t.c.resorted <- t.c.resorted + 1;
-          Resorted
-        end
-      end
+  let context = a.Activity.context in
+  let i = stream_of_host t context.host in
+  if i < 0 then quarantine t Unknown_host a
+  else
+    let stream = t.streams.(i) in
+    if stream.closed then quarantine t Closed a
+    else if stream.last_fed != no_record && Activity.equal stream.last_fed a then
+      quarantine t Duplicate a
+    else if stream.len > 0 && before a.timestamp stream.last_ts then begin
+      (* A timestamp regression. Within the skew allowance the record is
+         merely late — re-sort it into place; beyond it, or behind what
+         this stream already committed, it is unusable. *)
+      let late_by = Sim_time.diff stream.last_ts a.timestamp in
+      if Sim_time.compare_span late_by t.skew_allowance > 0 then quarantine t Regression a
+      else if before a.timestamp stream.last_popped then quarantine t Stale a
       else begin
-        insert_item stream stream.len a;
-        t.backlog <- t.backlog + 1;
-        stream.last_ts <- a.timestamp;
-        stream.last_fed <- Some a;
-        if Sim_time.(t.watermark < a.timestamp) then t.watermark <- a.timestamp;
-        (if stream.lagging then
-           let caught_up =
-             match t.straggler_timeout with
-             | Some limit ->
-                 Sim_time.compare_span (Sim_time.diff t.watermark a.timestamp) limit <= 0
-             | None -> true
-           in
-           if caught_up then begin
-             (* Reintegrate: the stream rejoins the wait set and the next
-                [refill] performs the resync fetch of its backlog. *)
-             stream.lagging <- false;
-             t.c.stragglers_active <- t.c.stragglers_active - 1;
-             t.c.straggler_resyncs <- t.c.straggler_resyncs + 1
-           end);
-        Accepted
+        let ctx = ctx_id t.memo ~stream:i context and flow = flow_id t.memo a in
+        (match
+           Deque.find_index t.queues.(i) (fun (x : candidate) ->
+               before a.timestamp x.activity.timestamp)
+         with
+        | Some pos -> insert_fetched t i pos { activity = a; ctx; flow }
+        | None ->
+            (* Behind no fetched item: keep the unfetched region sorted.
+               Regressions are small, so scan from the tail. *)
+            let pos = ref stream.len in
+            while
+              !pos > stream.cursor
+              && before a.timestamp stream.items.(!pos - 1).Activity.timestamp
+            do
+              decr pos
+            done;
+            insert_item stream !pos a ~ctx ~flow;
+            t.backlog <- t.backlog + 1;
+            t.fetched_to <- None);
+        stream.last_fed <- a;
+        t.c.resorted <- t.c.resorted + 1;
+        Resorted
       end
+    end
+    else begin
+      insert_item stream stream.len a ~ctx:(ctx_id t.memo ~stream:i context)
+        ~flow:(flow_id t.memo a);
+      t.backlog <- t.backlog + 1;
+      t.fetched_to <- None;
+      stream.last_ts <- a.timestamp;
+      stream.last_fed <- a;
+      if before t.watermark a.timestamp then t.watermark <- a.timestamp;
+      (if stream.lagging then
+         let caught_up =
+           match t.straggler_timeout with
+           | Some limit ->
+               Sim_time.compare_span (Sim_time.diff t.watermark a.timestamp) limit <= 0
+           | None -> true
+         in
+         if caught_up then begin
+           (* Reintegrate: the stream rejoins the wait set and the next
+              [refill] performs the resync fetch of its backlog. *)
+           stream.lagging <- false;
+           t.c.stragglers_active <- t.c.stragglers_active - 1;
+           t.c.straggler_resyncs <- t.c.straggler_resyncs + 1
+         end);
+      Accepted
+    end
 
 (* Pull every stream item with timestamp <= deadline into its queue. *)
 let fetch_until t deadline =
-  Array.iteri
-    (fun i s ->
-      while s.cursor < s.len && Sim_time.(s.items.(s.cursor).Activity.timestamp <= deadline) do
-        push t i s.items.(s.cursor);
-        s.cursor <- s.cursor + 1;
-        t.backlog <- t.backlog - 1
-      done;
-      (* Reclaim the consumed prefix so a long-lived online stream holds
-         only its unfetched backlog, not everything ever fed. *)
-      if s.cursor > 64 && 2 * s.cursor >= s.len then begin
-        let remaining = s.len - s.cursor in
-        Array.blit s.items s.cursor s.items 0 remaining;
-        s.len <- remaining;
-        s.cursor <- 0
-      end)
-    t.streams
+  (match t.fetched_to with
+  | Some d when not_after deadline d -> ()
+  | Some _ | None -> t.fetched_to <- Some deadline);
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    while s.cursor < s.len && not_after s.items.(s.cursor).Activity.timestamp deadline do
+      let k = s.cursor in
+      push t i { activity = s.items.(k); ctx = s.ctxs.(k); flow = s.flows.(k) };
+      s.cursor <- k + 1;
+      t.backlog <- t.backlog - 1
+    done;
+    (* Reclaim the consumed prefix so a long-lived online stream holds
+       only its unfetched backlog, not everything ever fed. *)
+    if s.cursor > 64 && 2 * s.cursor >= s.len then begin
+      let remaining = s.len - s.cursor in
+      Array.blit s.items s.cursor s.items 0 remaining;
+      Array.blit s.ctxs s.cursor s.ctxs 0 remaining;
+      Array.blit s.flows s.cursor s.flows 0 remaining;
+      s.len <- remaining;
+      s.cursor <- 0
+    end
+  done
 
 let pop t i =
-  let a = Deque.pop_front t.queues.(i) in
-  count_send t i a (-1);
+  let e = Deque.pop_front t.queues.(i) in
+  sync_head t i;
+  count_send t i e (-1);
   t.buffered <- t.buffered - 1;
   let s = t.streams.(i) in
-  if Sim_time.(s.last_popped < a.Activity.timestamp) then s.last_popped <- a.Activity.timestamp;
-  a
+  let ts = e.activity.Activity.timestamp in
+  if before s.last_popped ts then s.last_popped <- ts;
+  e
 
-(* Minimum local timestamp among queue heads and unfetched stream fronts:
-   the sliding window's left edge. *)
-let window_min t =
-  let mins = ref None in
-  let consider ts = match !mins with None -> mins := Some ts | Some m -> mins := Some (Sim_time.min m ts) in
-  Array.iter
-    (fun q ->
-      match Deque.peek_front q with
-      | Some a -> consider a.Activity.timestamp
-      | None -> ())
-    t.queues;
-  Array.iter
-    (fun s -> if s.cursor < s.len then consider s.items.(s.cursor).Activity.timestamp)
-    t.streams;
-  !mins
-
+(* Fetch up to one window past the sliding window's left edge: the minimum
+   local timestamp among queue heads and unfetched stream fronts. *)
 let refill t =
-  match window_min t with
-  | None -> ()
-  | Some m -> fetch_until t (Sim_time.add m t.window)
-
-(* Indices of non-empty queues, with their head activities. *)
-let heads t =
-  let acc = ref [] in
-  for i = Array.length t.queues - 1 downto 0 do
-    match Deque.peek_front t.queues.(i) with
-    | Some a -> acc := (i, a) :: !acc
-    | None -> ()
+  let found = ref false and left = ref Sim_time.zero in
+  for i = 0 to Array.length t.heads - 1 do
+    let e = t.heads.(i) in
+    if e != no_candidate then begin
+      let ts = e.activity.Activity.timestamp in
+      if (not !found) || before ts !left then begin
+        found := true;
+        left := ts
+      end
+    end;
+    let s = t.streams.(i) in
+    if s.cursor < s.len then begin
+      let ts = s.items.(s.cursor).Activity.timestamp in
+      if (not !found) || before ts !left then begin
+        found := true;
+        left := ts
+      end
+    end
   done;
-  !acc
+  if !found then begin
+    let deadline = Sim_time.add !left t.window in
+    match t.fetched_to with
+    | Some d when not_after deadline d -> ()
+    | Some _ | None -> fetch_until t deadline
+  end
 
-let head_receive_matching_mmap t hs =
-  let eligible =
-    List.filter
-      (fun (_, (a : Activity.t)) ->
-        Activity.equal_kind a.kind Activity.Receive && t.has_mmap_send a.message.flow)
-      hs
-  in
-  match eligible with
-  | [] -> None
-  | hs ->
-      (* Deterministic choice: earliest local timestamp, then queue index. *)
-      Some
-        (List.fold_left
-           (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-             if Sim_time.(a.timestamp < best.timestamp) then c else b)
-           (List.hd hs) (List.tl hs))
+(* The queue of the earliest head (lowest queue index on ties) among the
+   heads satisfying [p]; -1 when none does. *)
+let earliest_head t p =
+  let best = ref (-1) and best_ts = ref Sim_time.zero in
+  for i = 0 to Array.length t.heads - 1 do
+    let e = t.heads.(i) in
+    if e != no_candidate then begin
+      let ts = e.activity.Activity.timestamp in
+      if (!best < 0 || before ts !best_ts) && p t e then begin
+        best := i;
+        best_ts := ts
+      end
+    end
+  done;
+  !best
 
-let lowest_priority_non_receive hs =
-  let non_receive =
-    List.filter (fun (_, (a : Activity.t)) -> not (Activity.equal_kind a.kind Activity.Receive)) hs
-  in
-  match non_receive with
-  | [] -> None
-  | hs ->
-      Some
-        (List.fold_left
-           (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-             let pa = Activity.kind_priority a.kind and pb = Activity.kind_priority best.kind in
-             if pa < pb || (pa = pb && Sim_time.(a.timestamp < best.timestamp)) then c else b)
-           (List.hd hs) (List.tl hs))
+(* Rule 1: the RECEIVE head whose matching SEND is in the mmap, earliest
+   local timestamp first, then lowest queue index; -1 when there is none.
+   [has_mmap_send] is pure, so [earliest_head] only asks about heads that
+   would win. *)
+let mmap_receive t (e : candidate) =
+  match e.activity.Activity.kind with
+  | Activity.Receive -> t.has_mmap_send e.flow
+  | Activity.Begin | Activity.Send | Activity.End_ -> false
+
+(* Rule 2: the non-RECEIVE head of lowest type priority, then earliest
+   local timestamp, then lowest queue index; -1 when every head is a
+   RECEIVE. *)
+let rule2 t =
+  let best = ref (-1) and best_p = ref 0 and best_ts = ref Sim_time.zero in
+  for i = 0 to Array.length t.heads - 1 do
+    let e = t.heads.(i) in
+    if e != no_candidate then begin
+      let a = e.activity in
+      match a.Activity.kind with
+      | Activity.Receive -> ()
+      | (Activity.Begin | Activity.Send | Activity.End_) as kind ->
+          let p = Activity.kind_priority kind in
+          if !best < 0 || p < !best_p || (p = !best_p && before a.timestamp !best_ts)
+          then begin
+            best := i;
+            best_p := p;
+            best_ts := a.timestamp
+          end
+    end
+  done;
+  !best
+
+let any_head _ (_ : candidate) = true
+let no_buffered_send t (e : candidate) = buffered_send_count t e.flow = 0
+
+(* Whether the SEND at [i] in [q] can move to the front without jumping an
+   earlier activity of its own execution entity, which would break
+   adjacent-context order (the paper's swap only ever jumps another CPU's
+   activities). *)
+let promotable q i =
+  let send_ctx = (Deque.get q i).ctx in
+  let rec clear j = j >= i || ((Deque.get q j).ctx <> send_ctx && clear (j + 1)) in
+  clear 0
+
+let matching_send flow (x : candidate) =
+  Activity.equal_kind x.activity.kind Activity.Send && x.flow = flow
+
+(* Promote the buffered SEND matching RECEIVE head [r], if any. *)
+let promote_for t (r : candidate) =
+  match Id_table.find t.buffered_sends r.flow with
+  | { count; home } when count > 0 -> (
+      let q = t.queues.(home) in
+      match Deque.find_index q (matching_send r.flow) with
+      | Some i when i > 0 && promotable q i ->
+          Deque.promote q i;
+          sync_head t home;
+          t.c.promotions <- t.c.promotions + 1;
+          true
+      | Some _ | None -> false)
+  | _ | (exception Not_found) -> false
 
 (* Concurrency disturbance: every head is a RECEIVE, but some head's
    matching SEND sits deeper in a queue. Promote the buried SEND to its
-   queue's front so Rule 2 can emit it next round — but never across an
-   earlier activity of the SEND's own execution entity, which would break
-   adjacent-context order (the paper's swap only ever jumps another
-   CPU's activities). *)
-let try_promote t hs =
-  let matching_send flow (x : Activity.t) =
-    Activity.equal_kind x.kind Activity.Send && Address.flow_equal x.message.flow flow
-  in
-  let promotable q i =
-    let send_ctx = (Deque.get q i).Activity.context in
-    let rec clear j =
-      j >= i || ((not (Activity.equal_context (Deque.get q j).Activity.context send_ctx)) && clear (j + 1))
-    in
-    clear 0
-  in
-  let promote_for (_, (r : Activity.t)) =
-    let flow = r.message.flow in
-    match Address.Flow_table.find_opt t.buffered_sends flow with
-    | Some (n, qi) when n > 0 -> (
-        let q = t.queues.(qi) in
-        match Deque.find_index q (matching_send flow) with
-        | Some i when i > 0 && promotable q i ->
-            Deque.promote q i;
-            t.c.promotions <- t.c.promotions + 1;
-            true
-        | Some _ | None -> false)
-    | Some _ | None -> false
-  in
-  List.exists promote_for hs
+   queue's front so Rule 2 can emit it next round. Heads are tried in
+   queue order. *)
+let try_promote t =
+  let n = Array.length t.heads and i = ref 0 and promoted = ref false in
+  while (not !promoted) && !i < n do
+    let e = t.heads.(!i) in
+    if e != no_candidate then promoted := promote_for t e;
+    incr i
+  done;
+  !promoted
 
 (* Deferred noise check: before declaring the earliest suspect RECEIVE
    noise, make sure its matching SEND is not merely outside the fetched
    region — pull input up to [skew_allowance] past the suspect first. *)
-let try_force_fetch t hs =
-  let earliest =
-    List.fold_left
-      (fun (best : Activity.t) (_, (a : Activity.t)) ->
-        if Sim_time.(a.timestamp < best.timestamp) then a else best)
-      (snd (List.hd hs))
-      (List.tl hs)
-  in
+let try_force_fetch t =
+  let earliest = t.heads.(earliest_head t any_head).activity in
   let target = Sim_time.add earliest.timestamp t.skew_allowance in
-  let next_fetchable =
-    Array.fold_left
-      (fun acc s ->
-        if s.cursor < s.len then
-          let ts = s.items.(s.cursor).Activity.timestamp in
-          match acc with None -> Some ts | Some m -> Some (Sim_time.min m ts)
-        else acc)
-      None t.streams
-  in
-  match next_fetchable with
-  | Some ts when Sim_time.(ts <= target) ->
-      (* Fetch an escalating slice: window-sized at first (cheap when the
-         missing SEND is just past the window edge), doubling while the
-         search keeps failing so a noise-heavy trace costs O(log allowance)
-         extensions per suspect rather than O(allowance / window). *)
-      fetch_until t (Sim_time.min target (Sim_time.add ts t.force_step));
-      let doubled = Sim_time.span_add t.force_step t.force_step in
-      if Sim_time.compare_span doubled t.skew_allowance <= 0 then t.force_step <- doubled
-      else t.force_step <- t.skew_allowance;
-      t.c.forced_fetches <- t.c.forced_fetches + 1;
-      true
-  | Some _ | None -> false
+  let found = ref false and next = ref Sim_time.zero in
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    if s.cursor < s.len then begin
+      let ts = s.items.(s.cursor).Activity.timestamp in
+      if (not !found) || before ts !next then begin
+        found := true;
+        next := ts
+      end
+    end
+  done;
+  if !found && not_after !next target then begin
+    (* Fetch an escalating slice: window-sized at first (cheap when the
+       missing SEND is just past the window edge), doubling while the
+       search keeps failing so a noise-heavy trace costs O(log allowance)
+       extensions per suspect rather than O(allowance / window). *)
+    fetch_until t (Sim_time.min target (Sim_time.add !next t.force_step));
+    let doubled = Sim_time.span_add t.force_step t.force_step in
+    if Sim_time.compare_span doubled t.skew_allowance <= 0 then t.force_step <- doubled
+    else t.force_step <- t.skew_allowance;
+    t.c.forced_fetches <- t.c.forced_fetches + 1;
+    true
+  end
+  else false
 
-type step = Candidate of Activity.t | Need_input | Exhausted
+type step = Candidate of candidate | Need_input | Exhausted
 
 (* An open stream that would block the pipeline but has fallen further
    than [straggler_timeout] behind the global feed watermark is evicted
@@ -479,25 +650,23 @@ let straggler_skippable t s =
    buffered or fetched-but-unranked data behave exactly as offline. With a
    non-zero [reorder_slack], every open stream must additionally have
    reported past [a.ts + slack]: a record delayed by up to the slack could
-   otherwise still arrive and re-sort ahead of [a]. *)
+   otherwise still arrive and re-sort ahead of [a]. Every blocking stream
+   is checked for straggling, even once the answer is known. *)
 let safe_to_pop t (a : Activity.t) =
   let horizon = Sim_time.add a.Activity.timestamp t.skew_allowance in
-  let slack_floor =
-    if Sim_time.span_ns t.reorder_slack > 0 then
-      Some (Sim_time.add a.Activity.timestamp t.reorder_slack)
-    else None
-  in
+  let slack = Sim_time.span_ns t.reorder_slack > 0 in
+  let slack_floor = Sim_time.add a.Activity.timestamp t.reorder_slack in
   let ok = ref true in
-  Array.iteri
-    (fun i s ->
-      if not s.closed then begin
-        let blocking =
-          (Deque.is_empty t.queues.(i) && s.cursor >= s.len && Sim_time.(s.last_ts < horizon))
-          || (match slack_floor with Some f -> Sim_time.(s.last_ts < f) | None -> false)
-        in
-        if blocking && not (straggler_skippable t s) then ok := false
-      end)
-    t.streams;
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    if not s.closed then begin
+      let blocking =
+        (t.heads.(i) == no_candidate && s.cursor >= s.len && before s.last_ts horizon)
+        || (slack && before s.last_ts slack_floor)
+      in
+      if blocking && not (straggler_skippable t s) then ok := false
+    end
+  done;
   !ok
 
 let fully_consumed t =
@@ -508,11 +677,11 @@ let fully_consumed t =
 let noise_decidable t (suspect : Activity.t) =
   let target = Sim_time.add suspect.Activity.timestamp t.skew_allowance in
   let ok = ref true in
-  Array.iter
-    (fun s ->
-      if (not s.closed) && Sim_time.(s.last_ts < target) && not (straggler_skippable t s) then
-        ok := false)
-    t.streams;
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    if (not s.closed) && before s.last_ts target && not (straggler_skippable t s) then
+      ok := false
+  done;
   !ok
 
 let held t = t.buffered + t.backlog
@@ -520,70 +689,58 @@ let held t = t.buffered + t.backlog
 let over_budget t =
   match t.max_buffered with Some limit -> held t > limit | None -> false
 
+let emit t i =
+  t.c.candidates <- t.c.candidates + 1;
+  t.force_step <- t.window;
+  Candidate (pop t i)
+
+(* Backpressure: past [max_buffered] held records, stop waiting for
+   reassuring input and force-resolve the oldest window instead. *)
+let emit_or_wait t i ~force =
+  if safe_to_pop t t.heads.(i).activity then emit t i
+  else if force then begin
+    t.c.backpressure_pops <- t.c.backpressure_pops + 1;
+    emit t i
+  end
+  else Need_input
+
 let rec rank_step t =
   refill t;
-  match heads t with
-  | [] -> if fully_consumed t then Exhausted else Need_input
-  | hs -> (
-      (* Backpressure: past [max_buffered] held records, stop waiting for
-         reassuring input and force-resolve the oldest window instead. *)
-      let force = over_budget t in
-      let emit i =
-        t.c.candidates <- t.c.candidates + 1;
-        t.force_step <- t.window;
-        Candidate (pop t i)
-      in
-      let emit_or_wait i a =
-        if safe_to_pop t a then emit i
-        else if force then begin
-          t.c.backpressure_pops <- t.c.backpressure_pops + 1;
-          emit i
-        end
-        else Need_input
-      in
-      match (if t.ablation.disable_rule1 then None else head_receive_matching_mmap t hs) with
-      | Some (i, a) -> emit_or_wait i a
-      | None -> (
-          match lowest_priority_non_receive hs with
-          | Some (i, a) -> emit_or_wait i a
-          | None ->
-              (* Every head is an unmatched RECEIVE. *)
-              if (not t.ablation.disable_promotion) && try_promote t hs then rank_step t
-              else if try_force_fetch t hs then rank_step t
-              else begin
-                (* is_noise: no matching SEND in mmap nor anywhere in the
-                   buffer, with the input fetched well past the suspect.
-                   Heads whose matching SEND is buffered but unpromotable
-                   are not noise; discarding one of those (only possible
-                   under adversarial interleavings) is counted separately
-                   and asserted zero in tests. *)
-                let no_buffered_send (_, (a : Activity.t)) =
-                  buffered_send_count t a.message.flow = 0
-                in
-                let pool, forced =
-                  match List.filter no_buffered_send hs with
-                  | [] -> (hs, true)
-                  | noise_heads -> (noise_heads, false)
-                in
-                let i, suspect =
-                  List.fold_left
-                    (fun ((_, (best : Activity.t)) as b) ((_, (a : Activity.t)) as c) ->
-                      if Sim_time.(a.timestamp < best.timestamp) then c else b)
-                    (List.hd pool) (List.tl pool)
-                in
-                let decidable = noise_decidable t suspect in
-                if (not decidable) && not force then Need_input
-                else begin
-                  if not decidable then t.c.backpressure_pops <- t.c.backpressure_pops + 1;
-                  ignore (pop t i);
-                  t.c.noise_discarded <- t.c.noise_discarded + 1;
-                  if forced then t.c.forced_discards <- t.c.forced_discards + 1;
-                  rank_step t
-                end
-              end))
+  if t.buffered = 0 then if fully_consumed t then Exhausted else Need_input
+  else
+    let force = over_budget t in
+    let i = if t.ablation.disable_rule1 then -1 else earliest_head t mmap_receive in
+    if i >= 0 then emit_or_wait t i ~force
+    else
+      let i = rule2 t in
+      if i >= 0 then emit_or_wait t i ~force else all_receive t ~force
+
+(* Every head is an unmatched RECEIVE. *)
+and all_receive t ~force =
+  if (not t.ablation.disable_promotion) && try_promote t then rank_step t
+  else if try_force_fetch t then rank_step t
+  else begin
+    (* is_noise: no matching SEND in mmap nor anywhere in the buffer, with
+       the input fetched well past the suspect. Heads whose matching SEND
+       is buffered but unpromotable are not noise; discarding one of those
+       (only possible under adversarial interleavings) is counted
+       separately and asserted zero in tests. *)
+    let i = earliest_head t no_buffered_send in
+    let forced = i < 0 in
+    let i = if forced then earliest_head t any_head else i in
+    let decidable = noise_decidable t t.heads.(i).activity in
+    if (not decidable) && not force then Need_input
+    else begin
+      if not decidable then t.c.backpressure_pops <- t.c.backpressure_pops + 1;
+      ignore (pop t i);
+      t.c.noise_discarded <- t.c.noise_discarded + 1;
+      if forced then t.c.forced_discards <- t.c.forced_discards + 1;
+      rank_step t
+    end
+  end
 
 let rank t =
-  match rank_step t with Candidate a -> Some a | Need_input | Exhausted -> None
+  match rank_step t with Candidate c -> Some c.activity | Need_input | Exhausted -> None
 
 let buffered t = t.buffered
 

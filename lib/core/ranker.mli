@@ -23,6 +23,18 @@
 
 type t
 
+type candidate = private {
+  activity : Trace.Activity.t;
+  ctx : int;  (** {!Trace.Intern.context_id} of [activity.context]. *)
+  flow : int;
+      (** {!Trace.Intern.flow_id} of [activity.message.flow] for SENDs and
+          RECEIVEs; [-1] for BEGIN/END, whose flows are never looked up. *)
+}
+(** A record with the interned ids it was given on entering the ranker
+    ({!create} or {!feed}): the ranker's own lookups, and the engine's
+    ({!Cag_engine.step_ids}), are keyed by these ints, so nothing on the
+    per-step path interns. *)
+
 type reject_reason =
   | Unknown_host  (** No stream exists for the record's host. *)
   | Closed  (** Fed after {!close_input}. *)
@@ -78,20 +90,23 @@ val create :
   window:Simnet.Sim_time.span ->
   ?skew_allowance:Simnet.Sim_time.span ->
   ?ablation:ablation ->
-  has_mmap_send:(Simnet.Address.flow -> bool) ->
+  has_mmap_send:(int -> bool) ->
   Trace.Log.collection ->
   t
 (** [window] is the sliding-window size (any positive span; accuracy is
     independent of it, cost is not). [skew_allowance] bounds how far ahead
     of a suspect RECEIVE the ranker will look before declaring it noise;
     it must exceed the largest cross-node clock skew (default 1 s, twice
-    the paper's largest evaluated skew). [has_mmap_send] is wired to the
-    engine's message-relation index. *)
+    the paper's largest evaluated skew). [has_mmap_send] takes a flow id
+    and is wired to the engine's message-relation index
+    ({!Cag_engine.has_mmap_send}); it must have no side effects, since
+    Rule 1 asks it only about heads that could win. Every record is
+    interned here, once. *)
 
 val rank : t -> Trace.Activity.t option
-(** The next candidate, or [None] when all input is consumed. (For rankers
-    with open input, [None] can also mean "need more input" — use
-    {!rank_step} to distinguish.) *)
+(** The next candidate's record, or [None] when all input is consumed.
+    (For rankers with open input, [None] can also mean "need more input" —
+    use {!rank_step} to distinguish; it also hands over the ids.) *)
 
 (** {1 Live operation}
 
@@ -137,22 +152,22 @@ val create_online :
   ?straggler_timeout:Simnet.Sim_time.span ->
   ?max_buffered:int ->
   ?reorder_slack:Simnet.Sim_time.span ->
-  has_mmap_send:(Simnet.Address.flow -> bool) ->
+  has_mmap_send:(int -> bool) ->
   hosts:string list ->
   unit ->
   t
 
 val feed : t -> Trace.Activity.t -> feed_result
-(** Append one activity to its host's stream. Never raises: malformed
-    records are {!Quarantined} (counted per reason, logged in a bounded
-    ring), and regressions within the skew allowance are {!Resorted} into
-    place. *)
+(** Append one activity to its host's stream, interning it once. Never
+    raises: malformed records are {!Quarantined} (counted per reason,
+    logged in a bounded ring, never interned), and regressions within the
+    skew allowance are {!Resorted} into place. *)
 
 val close_input : t -> unit
 (** No more activities will be fed; pending candidates become decidable. *)
 
 type step =
-  | Candidate of Trace.Activity.t
+  | Candidate of candidate
   | Need_input  (** Undecidable until more input is fed (or input closed). *)
   | Exhausted  (** All input consumed. *)
 

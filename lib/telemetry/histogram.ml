@@ -6,14 +6,15 @@ let decades = 18
    epoch into the same registry) without losing updates. Observations
    are a handful of array/field writes, so one uncontended mutex per
    histogram is cheap next to the work being measured. *)
+(* All-float, so stored flat: updating a field boxes nothing. *)
+type moments = { mutable sum : float; mutable min_v : float; mutable max_v : float }
+
 type t = {
   lock : Mutex.t;
   per_decade : int;
   counts : int array;
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  m : moments;
 }
 
 let create ?(buckets_per_decade = 16) () =
@@ -24,9 +25,7 @@ let create ?(buckets_per_decade = 16) () =
     per_decade = buckets_per_decade;
     counts = Array.make (decades * buckets_per_decade) 0;
     count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    m = { sum = 0.0; min_v = infinity; max_v = neg_infinity };
   }
 
 let locked t f =
@@ -42,23 +41,28 @@ let index t v =
     in
     max 0 (min (Array.length t.counts - 1) i)
 
+(* The hot path: per-candidate in the correlator, so the body (which
+   cannot raise) runs between a bare lock and unlock, with no closure. *)
 let observe t v =
-  if not (Float.is_nan v) then
-    locked t (fun () ->
-        t.counts.(index t v) <- t.counts.(index t v) + 1;
-        t.count <- t.count + 1;
-        t.sum <- t.sum +. v;
-        if v < t.min_v then t.min_v <- v;
-        if v > t.max_v then t.max_v <- v)
+  if not (Float.is_nan v) then begin
+    let i = index t v in
+    Mutex.lock t.lock;
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.count <- t.count + 1;
+    t.m.sum <- t.m.sum +. v;
+    if v < t.m.min_v then t.m.min_v <- v;
+    if v > t.m.max_v then t.m.max_v <- v;
+    Mutex.unlock t.lock
+  end
 
 let count t = locked t (fun () -> t.count)
-let sum t = locked t (fun () -> t.sum)
+let sum t = locked t (fun () -> t.m.sum)
 
 let mean t =
-  locked t (fun () -> if t.count = 0 then 0.0 else t.sum /. float_of_int t.count)
+  locked t (fun () -> if t.count = 0 then 0.0 else t.m.sum /. float_of_int t.count)
 
-let min_value t = locked t (fun () -> if t.count = 0 then 0.0 else t.min_v)
-let max_value t = locked t (fun () -> if t.count = 0 then 0.0 else t.max_v)
+let min_value t = locked t (fun () -> if t.count = 0 then 0.0 else t.m.min_v)
+let max_value t = locked t (fun () -> if t.count = 0 then 0.0 else t.m.max_v)
 
 let upper_bound t i = Float.pow 10.0 (lo_decade +. (float_of_int (i + 1) /. float_of_int t.per_decade))
 
@@ -78,16 +82,16 @@ let quantile t q =
              incr i
            done
          with Exit -> ());
-        Float.max t.min_v (Float.min t.max_v (upper_bound t !found))
+        Float.max t.m.min_v (Float.min t.m.max_v (upper_bound t !found))
       end)
 
 let clear t =
   locked t (fun () ->
       Array.fill t.counts 0 (Array.length t.counts) 0;
       t.count <- 0;
-      t.sum <- 0.0;
-      t.min_v <- infinity;
-      t.max_v <- neg_infinity)
+      t.m.sum <- 0.0;
+      t.m.min_v <- infinity;
+      t.m.max_v <- neg_infinity)
 
 type bucket = { upper : float; cumulative : int }
 
@@ -111,11 +115,11 @@ let merge_into ~dst src =
      (concurrent merges in opposite directions would deadlock). *)
   let counts, count, sum, min_v, max_v =
     locked src (fun () ->
-        (Array.copy src.counts, src.count, src.sum, src.min_v, src.max_v))
+        (Array.copy src.counts, src.count, src.m.sum, src.m.min_v, src.m.max_v))
   in
   locked dst (fun () ->
       Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) counts;
       dst.count <- dst.count + count;
-      dst.sum <- dst.sum +. sum;
-      if min_v < dst.min_v then dst.min_v <- min_v;
-      if max_v > dst.max_v then dst.max_v <- max_v)
+      dst.m.sum <- dst.m.sum +. sum;
+      if min_v < dst.m.min_v then dst.m.min_v <- min_v;
+      if max_v > dst.m.max_v then dst.m.max_v <- max_v)

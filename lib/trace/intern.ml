@@ -3,31 +3,43 @@ module R = Telemetry.Registry
 
 (* One process-wide table per attribute domain. Ids are dense, stable for
    the life of the process and never recycled, so they can be stored in
-   flat arrays ({!Arena}), hashed as ints, and compared with [==]. All
-   mutation is serialised on a single mutex; dune's parallel query pool
-   and the sharded correlator's worker domains intern concurrently. *)
+   flat arrays ({!Arena}), hashed as ints, and compared with [==]. Inserts
+   are serialised on a single mutex (dune's parallel query pool and the
+   sharded correlator's worker domains intern concurrently); reads by id
+   take no lock at all. *)
 
 let mu = Mutex.create ()
 
-let locked f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+(* An append-only array published as one immutable snapshot. Inserts
+   (under [mu]) write the new slot first, then publish the array and its
+   length together with one atomic store, so a reader that sees length
+   [n] also sees every slot below [n] — with no lock, even while another
+   domain is growing the table. *)
+type 'a snapshot = { arr : 'a array; len : int }
+type 'a vec = 'a snapshot Atomic.t
 
-(* A growable array. Slots are written before the id is handed out (both
-   under [mu]), so [get] for any previously-issued id always finds the
-   entry even if a concurrent insert is growing the table. *)
-type 'a vec = { mutable arr : 'a array; mutable len : int }
+let vec_make dummy n : 'a vec = Atomic.make { arr = Array.make n dummy; len = 0 }
 
-let vec_make dummy n = { arr = Array.make n dummy; len = 0 }
+let vec_push (v : 'a vec) x =
+  let { arr; len } = Atomic.get v in
+  let arr =
+    if len < Array.length arr then arr
+    else begin
+      let bigger = Array.make (2 * Array.length arr) arr.(0) in
+      Array.blit arr 0 bigger 0 len;
+      bigger
+    end
+  in
+  arr.(len) <- x;
+  Atomic.set v { arr; len = len + 1 }
 
-let vec_push v x =
-  if v.len = Array.length v.arr then begin
-    let bigger = Array.make (2 * Array.length v.arr) v.arr.(0) in
-    Array.blit v.arr 0 bigger 0 v.len;
-    v.arr <- bigger
-  end;
-  v.arr.(v.len) <- x;
-  v.len <- v.len + 1
+let vec_length (v : 'a vec) = (Atomic.get v).len
+
+(* Lock-free read of an issued id. *)
+let vec_get (v : 'a vec) i what =
+  let { arr; len } = Atomic.get v in
+  if i < 0 || i >= len then invalid_arg what;
+  arr.(i)
 
 (* ---- strings (hostnames and program names) ---- *)
 
@@ -74,57 +86,62 @@ let flows_gauge =
 (* ---- strings ---- *)
 
 (* [*_u] variants assume [mu] is held: the hot entry points take the lock
-   once for a whole multi-table operation. *)
+   once for a whole multi-table operation. None of them raises (argument
+   checks happen before locking), so callers lock and unlock around them
+   directly, without a closure. *)
 let string_id_u s =
   match Hashtbl.find_opt string_tbl s with
   | Some i -> i
   | None ->
-      let i = string_rev.len in
+      let i = vec_length string_rev in
       vec_push string_rev s;
       Hashtbl.replace string_tbl s i;
       R.set (Lazy.force strings_gauge) (float_of_int (i + 1));
       i
 
-let string_id s = locked (fun () -> string_id_u s)
+let string_id s =
+  Mutex.lock mu;
+  let i = string_id_u s in
+  Mutex.unlock mu;
+  i
 
-let string_of_id i =
-  locked (fun () ->
-      if i < 0 || i >= string_rev.len then invalid_arg "Intern.string_of_id: unknown id";
-      string_rev.arr.(i))
+let string_of_id i = vec_get string_rev i "Intern.string_of_id: unknown id"
 
 (* ---- contexts ---- *)
 
 let context_id_parts_u ~host ~program ~pid ~tid =
-  if host < 0 || host >= string_rev.len then invalid_arg "Intern.context_id_parts: bad host id";
-  if program < 0 || program >= string_rev.len then
-    invalid_arg "Intern.context_id_parts: bad program id";
   let key = (host, program, pid, tid) in
   match Hashtbl.find_opt ctx_tbl key with
   | Some i -> i
   | None ->
-      let i = ctx_rev.len in
-      let canonical =
-        { Activity.host = string_rev.arr.(host); program = string_rev.arr.(program); pid; tid }
-      in
+      let i = vec_length ctx_rev in
+      let strings = (Atomic.get string_rev).arr in
+      let canonical = { Activity.host = strings.(host); program = strings.(program); pid; tid } in
       vec_push ctx_rev (key, canonical);
       Hashtbl.replace ctx_tbl key i;
       R.set (Lazy.force contexts_gauge) (float_of_int (i + 1));
       i
 
 let context_id_parts ~host ~program ~pid ~tid =
-  locked (fun () -> context_id_parts_u ~host ~program ~pid ~tid)
+  (* Issued string ids stay valid forever, so checking before the lock is
+     as good as checking under it. *)
+  let strings = vec_length string_rev in
+  if host < 0 || host >= strings then invalid_arg "Intern.context_id_parts: bad host id";
+  if program < 0 || program >= strings then invalid_arg "Intern.context_id_parts: bad program id";
+  Mutex.lock mu;
+  let i = context_id_parts_u ~host ~program ~pid ~tid in
+  Mutex.unlock mu;
+  i
 
 let context_id (c : Activity.context) =
-  locked (fun () ->
-      let host = string_id_u c.host in
-      let program = string_id_u c.program in
-      context_id_parts_u ~host ~program ~pid:c.pid ~tid:c.tid)
+  Mutex.lock mu;
+  let host = string_id_u c.host in
+  let program = string_id_u c.program in
+  let i = context_id_parts_u ~host ~program ~pid:c.pid ~tid:c.tid in
+  Mutex.unlock mu;
+  i
 
-let ctx_entry i =
-  locked (fun () ->
-      if i < 0 || i >= ctx_rev.len then invalid_arg "Intern.context_of_id: unknown id";
-      ctx_rev.arr.(i))
-
+let ctx_entry i = vec_get ctx_rev i "Intern.context_of_id: unknown id"
 let context_of_id i = snd (ctx_entry i)
 let context_parts_of_id i = fst (ctx_entry i)
 
@@ -139,32 +156,41 @@ let flow_id_parts ~src_ip ~src_port ~dst_ip ~dst_port =
   let src_ip_v = Address.ip_of_int src_ip and dst_ip_v = Address.ip_of_int dst_ip in
   if src_port < 0 || src_port > 0xffff then invalid_arg "Intern.flow_id_parts: bad src port";
   if dst_port < 0 || dst_port > 0xffff then invalid_arg "Intern.flow_id_parts: bad dst port";
-  locked (fun () ->
-      let key = (pack_endpoint src_ip src_port, pack_endpoint dst_ip dst_port) in
-      match Hashtbl.find_opt flow_tbl key with
-      | Some i -> i
-      | None ->
-          let i = flow_rev.len in
-          let canonical =
-            Address.flow
-              ~src:(Address.endpoint src_ip_v src_port)
-              ~dst:(Address.endpoint dst_ip_v dst_port)
-          in
-          vec_push flow_rev ((src_ip, src_port, dst_ip, dst_port), canonical);
-          Hashtbl.replace flow_tbl key i;
-          R.set (Lazy.force flows_gauge) (float_of_int (i + 1));
-          i)
+  let key = (pack_endpoint src_ip src_port, pack_endpoint dst_ip dst_port) in
+  Mutex.lock mu;
+  let i =
+    match Hashtbl.find_opt flow_tbl key with
+    | Some i -> i
+    | None ->
+        let i = vec_length flow_rev in
+        let canonical =
+          Address.flow
+            ~src:(Address.endpoint src_ip_v src_port)
+            ~dst:(Address.endpoint dst_ip_v dst_port)
+        in
+        vec_push flow_rev ((src_ip, src_port, dst_ip, dst_port), canonical);
+        Hashtbl.replace flow_tbl key i;
+        R.set (Lazy.force flows_gauge) (float_of_int (i + 1));
+        i
+  in
+  Mutex.unlock mu;
+  i
 
 let flow_id (f : Address.flow) =
   flow_id_parts ~src_ip:(Address.ip_to_int f.src.ip) ~src_port:f.src.port
     ~dst_ip:(Address.ip_to_int f.dst.ip) ~dst_port:f.dst.port
 
-let flow_entry i =
-  locked (fun () ->
-      if i < 0 || i >= flow_rev.len then invalid_arg "Intern.flow_of_id: unknown id";
-      flow_rev.arr.(i))
-
+let flow_entry i = vec_get flow_rev i "Intern.flow_of_id: unknown id"
 let flow_of_id i = snd (flow_entry i)
 let flow_parts_of_id i = fst (flow_entry i)
 
-let counts () = locked (fun () -> (string_rev.len, ctx_rev.len, flow_rev.len))
+let counts () = (vec_length string_rev, vec_length ctx_rev, vec_length flow_rev)
+
+module Id_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Ids are dense and non-negative, so they are their own hash. *)
+  let hash (i : int) = i
+end)

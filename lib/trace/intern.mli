@@ -12,9 +12,9 @@
       (so [==] short-circuits structural comparison downstream).
 
     Ids are stable for the life of the process and never recycled; the
-    tables only grow. All operations are domain-safe (one global mutex;
-    inserts are rare after warm-up, lookups by id are a bounds check and
-    an array read). Table sizes are exported as the [pt_intern_strings],
+    tables only grow. All operations are domain-safe: inserts (and
+    lookups by value) take one global mutex, lookups by id take none —
+    each is an atomic load, a bounds check and an array read. Table sizes are exported as the [pt_intern_strings],
     [pt_intern_contexts] and [pt_intern_flows] gauges. *)
 
 (** {1 Strings — hostnames and program names} *)
@@ -61,3 +61,9 @@ val flow_parts_of_id : int -> int * int * int * int
 
 val counts : unit -> int * int * int
 (** [(strings, contexts, flows)] currently interned. *)
+
+(** {1 Tables keyed by id} *)
+
+module Id_table : Hashtbl.S with type key = int
+(** A hash table on ids: the id is its own hash, so a lookup is an array
+    index and an int comparison. *)

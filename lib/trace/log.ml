@@ -24,6 +24,14 @@ let append t (a : Activity.t) =
 let length t = t.count
 let to_list t = List.rev t.rev_items
 
+let to_array t =
+  match t.rev_items with
+  | [] -> [||]
+  | last :: _ ->
+      let a = Array.make t.count last in
+      List.iteri (fun i x -> a.(t.count - 1 - i) <- x) t.rev_items;
+      a
+
 let of_list ~hostname items =
   let sorted = List.stable_sort Activity.compare_by_time items in
   let t = create ~hostname in

@@ -20,6 +20,9 @@ val length : t -> int
 val to_list : t -> Activity.t list
 (** In timestamp order. *)
 
+val to_array : t -> Activity.t array
+(** {!to_list} as a fresh array, without the intermediate list. *)
+
 val of_list : hostname:string -> Activity.t list -> t
 (** Builds a log from activities in any order; they are sorted. *)
 

@@ -64,6 +64,27 @@ let logs_of_request ?base ?wskew ?askew ?dskew () =
     Trace.Log.of_list ~hostname:"db" d;
   ]
 
+(* Feed one hand-made record straight to the engine, interning its ids
+   the way the ranker does on entry. *)
+let engine_step engine (a : Activity.t) =
+  let flow =
+    match a.kind with
+    | Activity.Send | Activity.Receive -> Trace.Intern.flow_id a.message.flow
+    | Activity.Begin | Activity.End_ -> -1
+  in
+  Core.Cag_engine.step_ids engine ~ctx:(Trace.Intern.context_id a.context) ~flow a
+
+(* Correlate every candidate of [ranker] into [engine]. *)
+let run_ranked engine ranker =
+  let rec loop () =
+    match Core.Ranker.rank_step ranker with
+    | Core.Ranker.Need_input | Core.Ranker.Exhausted -> ()
+    | Core.Ranker.Candidate { activity; ctx; flow } ->
+        Core.Cag_engine.step_ids engine ~ctx ~flow activity;
+        loop ()
+  in
+  loop ()
+
 let correlate_raw ?(window = Sim_time.ms 10) ?skew_allowance logs =
   let engine = Core.Cag_engine.create () in
   let ranker =
@@ -71,14 +92,7 @@ let correlate_raw ?(window = Sim_time.ms 10) ?skew_allowance logs =
       ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
       logs
   in
-  let rec loop () =
-    match Core.Ranker.rank ranker with
-    | None -> ()
-    | Some a ->
-        Core.Cag_engine.step engine a;
-        loop ()
-  in
-  loop ();
+  run_ranked engine ranker;
   (engine, ranker)
 
 let check_valid cag =

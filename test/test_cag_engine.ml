@@ -10,7 +10,7 @@ module Sim_time = Simnet.Sim_time
 (* Feed candidates directly (engine-level tests bypass the ranker). *)
 let run_engine acts =
   let engine = Cag_engine.create () in
-  List.iter (Cag_engine.step engine) acts;
+  List.iter (H.engine_step engine) acts;
   engine
 
 let b ts = H.act ~kind:Activity.Begin ~ts ~ctx:H.web_ctx ~flow:H.client_web_flow ~size:400
@@ -198,27 +198,56 @@ let test_lost_end_leaves_deformed () =
 let test_on_finished_callback () =
   let seen = ref [] in
   let engine = Cag_engine.create ~on_finished:(fun cag -> seen := Cag.size cag :: !seen) () in
-  List.iter (Cag_engine.step engine) [ b 0; ws 1 10; ar 2 10; as_ 3 10; wr 4 10; e 5 10 ];
+  List.iter (H.engine_step engine) [ b 0; ws 1 10; ar 2 10; as_ 3 10; wr 4 10; e 5 10 ];
   Alcotest.(check (list int)) "callback fired with CAG" [ 6 ] !seen
 
 let test_live_vertex_accounting () =
   let engine = Cag_engine.create () in
-  List.iter (Cag_engine.step engine) [ b 0; ws 1 10; ar 2 10 ];
+  List.iter (H.engine_step engine) [ b 0; ws 1 10; ar 2 10 ];
   Alcotest.(check int) "live while open" 3 (Cag_engine.live_vertices engine);
-  List.iter (Cag_engine.step engine) [ as_ 3 10; wr 4 10; e 5 10 ];
+  List.iter (H.engine_step engine) [ as_ 3 10; wr 4 10; e 5 10 ];
   Alcotest.(check int) "released at finish" 0 (Cag_engine.live_vertices engine);
   Alcotest.(check int) "peak" 6 (Cag_engine.stats engine).Cag_engine.peak_live_vertices
 
 let test_mmap_entries_tracking () =
   let engine = Cag_engine.create () in
-  Cag_engine.step engine (b 0);
-  Cag_engine.step engine (ws 1 10);
+  H.engine_step engine (b 0);
+  H.engine_step engine (ws 1 10);
   Alcotest.(check bool) "mmap has the flow" true
-    (Cag_engine.has_mmap_send engine H.web_app_flow);
+    (Cag_engine.has_mmap_send engine (Trace.Intern.flow_id H.web_app_flow));
   Alcotest.(check int) "one entry" 1 (Cag_engine.mmap_entries engine);
-  Cag_engine.step engine (ar 2 10);
-  Alcotest.(check bool) "consumed" false (Cag_engine.has_mmap_send engine H.web_app_flow);
+  H.engine_step engine (ar 2 10);
+  Alcotest.(check bool) "consumed" false
+    (Cag_engine.has_mmap_send engine (Trace.Intern.flow_id H.web_app_flow));
   Alcotest.(check int) "zero entries" 0 (Cag_engine.mmap_entries engine)
+
+let test_unfinished_order_across_many_paths () =
+  (* 300 requests on their own threads, every third left open: enough
+     finished paths that the engine drops them from its open list, which
+     must keep the open ones in begin order. *)
+  let ctx k = H.ctx ~host:"web" ~program:"httpd" ~pid:(1000 + k) ~tid:(1000 + k) () in
+  let client k = H.flow "10.0.0.9" (20000 + k) "10.0.1.1" 80 in
+  let begin_ k = H.act ~kind:Activity.Begin ~ts:k ~ctx:(ctx k) ~flow:(client k) ~size:1 in
+  let end_ k =
+    H.act ~kind:Activity.End_ ~ts:(1000 + k) ~ctx:(ctx k)
+      ~flow:(Simnet.Address.reverse (client k))
+      ~size:1
+  in
+  let n = 300 in
+  let ks = List.init n Fun.id in
+  let engine =
+    run_engine
+      (List.map begin_ ks @ List.filter_map (fun k -> if k mod 3 = 0 then None else Some (end_ k)) ks)
+  in
+  let begun (cag : Cag.t) = Sim_time.to_ns (Cag.begin_ts cag) in
+  Alcotest.(check (list int))
+    "open paths in begin order"
+    (List.filter (fun k -> k mod 3 = 0) ks)
+    (List.map begun (Cag_engine.unfinished engine));
+  Alcotest.(check (list int))
+    "finished paths in completion order"
+    (List.filter (fun k -> k mod 3 <> 0) ks)
+    (List.map begun (Cag_engine.finished engine))
 
 let test_interleaved_sends_same_flow_fifo () =
   (* Two outstanding logical messages on one flow (pipelined): receives
@@ -266,5 +295,7 @@ let () =
           Alcotest.test_case "on_finished callback" `Quick test_on_finished_callback;
           Alcotest.test_case "live vertex accounting" `Quick test_live_vertex_accounting;
           Alcotest.test_case "mmap tracking" `Quick test_mmap_entries_tracking;
+          Alcotest.test_case "unfinished order across many paths" `Quick
+            test_unfinished_order_across_many_paths;
         ] );
     ]

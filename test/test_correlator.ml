@@ -293,6 +293,55 @@ let test_correlate_arena_matches_correlate () =
         (Core.Pattern.signature_of b))
     record_result.Correlator.cags native_result.Correlator.cags
 
+(* ---- allocation: interned ids, no per-step allocation ---- *)
+
+(* Words the rank/engine loop allocates per record on a fixed-seed RUBiS
+   trace with the paper's noise and skew. The trace goes through PTB1 as
+   in the batch job, so records share canonical contexts and flows; a
+   warm-up run interns everything first, and allocation is then
+   deterministic. *)
+let correlator_words_per_record () =
+  let outcome =
+    Tiersim.Scenario.run
+      {
+        Tiersim.Scenario.default with
+        clients = 40;
+        time_scale = 0.05;
+        seed = 7;
+        noise = Tiersim.Scenario.Paper_noise { db_connections = 3 };
+        skew = Sim_time.ms 50;
+      }
+  in
+  let logs =
+    match Trace.Binary_format.decode (Trace.Binary_format.encode outcome.logs) with
+    | Ok logs -> logs
+    | Error e -> Alcotest.fail e
+  in
+  let cfg = Correlator.config ~transform:outcome.transform () in
+  let prepared = Transform.apply cfg.transform logs in
+  let run () =
+    Correlator.correlate_prepared ~telemetry:(Telemetry.Registry.create ()) cfg prepared
+      ~on_path:ignore
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "paths found" true (List.length r.Correlator.cags > 100);
+  words /. float_of_int (Log.total prepared)
+
+(* 44.7 words/record when the ranker and engine run on interned ids, plus
+   10% headroom; re-interning and re-hashing records on every step cost
+   282. *)
+let words_per_record_bound = 49.2
+
+let test_correlator_allocation_bound () =
+  let per_record = correlator_words_per_record () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/record <= %.1f" per_record words_per_record_bound)
+    true
+    (per_record <= words_per_record_bound)
+
 let () =
   Alcotest.run "correlator"
     [
@@ -316,5 +365,10 @@ let () =
           Alcotest.test_case "correlate_arena matches correlate" `Quick
             test_correlate_arena_matches_correlate;
           qtest prop_interleaved_requests_all_resolve;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "words per record bounded" `Quick
+            test_correlator_allocation_bound;
         ] );
     ]

@@ -158,14 +158,7 @@ let test_ablation_promotion_needed_for_fig6 () =
         ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
         logs
     in
-    let rec loop () =
-      match Core.Ranker.rank ranker with
-      | Some a ->
-          Core.Cag_engine.step engine a;
-          loop ()
-      | None -> ()
-    in
-    loop ();
+    H.run_ranked engine ranker;
     Core.Ranker.stats ranker
   in
   let full = run_with Core.Ranker.no_ablation in
@@ -212,14 +205,7 @@ let test_gc_never_evicts_live () =
       ~has_mmap_send:(Core.Cag_engine.has_mmap_send engine)
       logs
   in
-  let rec loop () =
-    match Core.Ranker.rank ranker with
-    | Some a ->
-        Core.Cag_engine.step engine a;
-        loop ()
-    | None -> ()
-  in
-  loop ();
+  H.run_ranked engine ranker;
   Alcotest.(check int) "nothing stale" 0
     (Core.Cag_engine.gc engine ~older_than:ST.zero);
   Alcotest.(check int) "finished fine" 1

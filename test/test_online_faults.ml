@@ -42,7 +42,7 @@ let app_begin ts = H.act ~kind:Activity.Begin ~ts ~ctx:H.app_ctx ~flow:H.web_app
 let drain r =
   let rec loop acc =
     match Ranker.rank_step r with
-    | Ranker.Candidate a -> loop (a :: acc)
+    | Ranker.Candidate c -> loop (c.activity :: acc)
     | Ranker.Need_input | Ranker.Exhausted -> List.rev acc
   in
   loop []
@@ -244,6 +244,72 @@ let test_observe_after_finish () =
   Alcotest.(check int) "every post-close record quarantined as Closed" (List.length w)
     (List.length closed)
 
+(* ---- Rule tie-breaks: pinned for batch and live rankers alike ---- *)
+
+(* Two hosts whose heads tie; [order] lists the hosts in queue-index
+   order. *)
+let tie_ctx host = H.ctx ~host ~program:"svc" ~pid:7 ~tid:7 ()
+let tie_flow n = H.flow "10.9.0.1" (40000 + n) "10.9.0.2" 80
+
+let tie_record ~kind ~ts host n =
+  H.act ~kind ~ts ~ctx:(tie_ctx host) ~flow:(tie_flow n) ~size:10
+
+(* The hosts of the popped candidates, from a batch ranker over [per_host]
+   (one log per host, in that queue order) and from a live ranker fed the
+   same records host by host. *)
+let tie_orders ~mmap per_host =
+  let of_batch =
+    let logs = List.map (fun (h, acts) -> Log.of_list ~hostname:h acts) per_host in
+    let r = Ranker.create ~window:(ST.ms 10) ~has_mmap_send:mmap logs in
+    let rec loop acc =
+      match Ranker.rank r with
+      | Some (a : Activity.t) -> loop (a.context.host :: acc)
+      | None -> List.rev acc
+    in
+    loop []
+  in
+  let of_live =
+    let r =
+      Ranker.create_online ~window:(ST.ms 10) ~skew_allowance:(ST.ms 10) ~has_mmap_send:mmap
+        ~hosts:(List.map fst per_host) ()
+    in
+    List.iter (fun (_, acts) -> List.iter (fun a -> ignore (Ranker.feed r a)) acts) per_host;
+    Ranker.close_input r;
+    List.map (fun (a : Activity.t) -> a.context.host) (drain r)
+  in
+  (of_batch, of_live)
+
+let check_tie_order what ~mmap per_host expected =
+  let batch, live = tie_orders ~mmap per_host in
+  Alcotest.(check (list string)) (what ^ " (batch)") expected batch;
+  Alcotest.(check (list string)) (what ^ " (live)") expected live
+
+let test_rule1_ties_pop_in_queue_order () =
+  (* Both heads are RECEIVEs at one timestamp whose SENDs are outstanding:
+     Rule 1 takes the lower queue index first. *)
+  let recv host n = (host, [ tie_record ~kind:Activity.Receive ~ts:(ms 5) host n ]) in
+  let mmap _ = true in
+  check_tie_order "n0 first" ~mmap [ recv "n0" 0; recv "n1" 1 ] [ "n0"; "n1" ];
+  check_tie_order "n1 first" ~mmap [ recv "n1" 1; recv "n0" 0 ] [ "n1"; "n0" ]
+
+let test_rule2_ties_pop_in_queue_order () =
+  (* Equal priority (two SENDs) and equal timestamps: queue index decides. *)
+  let send host n = (host, [ tie_record ~kind:Activity.Send ~ts:(ms 5) host n ]) in
+  let mmap _ = false in
+  check_tie_order "n0 first" ~mmap [ send "n0" 0; send "n1" 1 ] [ "n0"; "n1" ];
+  check_tie_order "n1 first" ~mmap [ send "n1" 1; send "n0" 0 ] [ "n1"; "n0" ]
+
+let test_begin_outranks_earlier_end () =
+  (* Rule 2 compares priority before time: a BEGIN 2 ms after an END, both
+     inside the window, still pops first. *)
+  let mmap _ = false in
+  check_tie_order "begin first" ~mmap
+    [
+      ("n0", [ tie_record ~kind:Activity.End_ ~ts:(ms 1) "n0" 0 ]);
+      ("n1", [ tie_record ~kind:Activity.Begin ~ts:(ms 3) "n1" 1 ]);
+    ]
+    [ "n1"; "n0" ]
+
 (* ---- GC safeguards ---- *)
 
 let test_gc_clamp_keeps_trace_start_sends () =
@@ -263,8 +329,8 @@ let test_gc_clamp_keeps_trace_start_sends () =
 
 let test_gc_eviction_flags_open_cag_deformed () =
   let engine = Core.Cag_engine.create () in
-  Core.Cag_engine.step engine (web_begin 0);
-  Core.Cag_engine.step engine
+  H.engine_step engine (web_begin 0);
+  H.engine_step engine
     (H.act ~kind:Activity.Send ~ts:(ms 1) ~ctx:H.web_ctx ~flow:H.web_app_flow ~size:1);
   (* The RECEIVE never arrives; GC past the send must count the eviction
      and flag the still-open path as deformed. *)
@@ -470,6 +536,15 @@ let () =
         [
           Alcotest.test_case "observe after finish" `Quick test_observe_after_finish;
           Alcotest.test_case "silent host end to end" `Slow test_silent_host_end_to_end;
+        ] );
+      ( "tie-breaks",
+        [
+          Alcotest.test_case "rule 1 ties pop in queue order" `Quick
+            test_rule1_ties_pop_in_queue_order;
+          Alcotest.test_case "rule 2 ties pop in queue order" `Quick
+            test_rule2_ties_pop_in_queue_order;
+          Alcotest.test_case "begin outranks an earlier end" `Quick
+            test_begin_outranks_earlier_end;
         ] );
       ( "gc",
         [

@@ -9,9 +9,11 @@ module Sim_time = Simnet.Sim_time
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* A ranker over raw logs with a controllable mmap oracle. *)
+(* A ranker over raw logs with a controllable mmap oracle on flows. *)
 let ranker ?(window = Sim_time.ms 10) ?skew_allowance ?(mmap = fun _ -> false) logs =
-  Ranker.create ~window ?skew_allowance ~has_mmap_send:mmap logs
+  Ranker.create ~window ?skew_allowance
+    ~has_mmap_send:(fun id -> mmap (Trace.Intern.flow_of_id id))
+    logs
 
 let drain r =
   let rec loop acc =

@@ -669,6 +669,56 @@ let test_gt_errors () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "unknown completion accepted"
 
+(* ---- intern: reads by id take no lock ---- *)
+
+(* One domain interns thousands of fresh contexts and flows, growing every
+   table several times, while this one reads the newest published ids
+   without the lock: each read must find the record that id was issued
+   for, never an unwritten slot. *)
+let test_intern_reads_during_inserts () =
+  let module Intern = Trace.Intern in
+  let _, ctx_base, flow_base = Intern.counts () in
+  let n = 20_000 in
+  let done_ = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        for k = 0 to n - 1 do
+          ignore
+            (Intern.context_id { Activity.host = "intern-race"; program = "p"; pid = k; tid = k });
+          ignore (Intern.flow_id (H.flow "10.77.0.1" (k land 0xffff) "10.77.0.2" 80))
+        done;
+        Atomic.set done_ true)
+  in
+  let reads = ref 0 and wrong = ref 0 in
+  let check () =
+    let _, contexts, flows = Intern.counts () in
+    for id = max ctx_base (contexts - 16) to contexts - 1 do
+      incr reads;
+      if (Intern.context_of_id id).host <> "intern-race" then incr wrong
+    done;
+    for id = max flow_base (flows - 16) to flows - 1 do
+      incr reads;
+      if (Intern.flow_of_id id).dst.port <> 80 then incr wrong
+    done
+  in
+  while not (Atomic.get done_) do
+    check ()
+  done;
+  Domain.join writer;
+  check ();
+  Alcotest.(check int) "every read saw its record" 0 !wrong;
+  Alcotest.(check bool) "reads happened" true (!reads > 0);
+  let _, contexts, flows = Intern.counts () in
+  Alcotest.(check int) "all contexts issued" (ctx_base + n) contexts;
+  Alcotest.(check int) "all flows issued" (flow_base + n) flows;
+  for id = ctx_base to contexts - 1 do
+    let c = Intern.context_of_id id in
+    if Intern.context_id c <> id || c.pid <> id - ctx_base then incr wrong
+  done;
+  Alcotest.(check int) "ids round-trip" 0 !wrong;
+  Alcotest.check_raises "unissued id" (Invalid_argument "Intern.context_of_id: unknown id")
+    (fun () -> ignore (Intern.context_of_id contexts))
+
 let () =
   Alcotest.run "trace"
     [
@@ -734,6 +784,8 @@ let () =
           qtest prop_native_bytes_match_legacy;
           qtest prop_text_native_text_stable;
         ] );
+      ( "intern",
+        [ Alcotest.test_case "reads during inserts" `Quick test_intern_reads_during_inserts ] );
       ( "ground_truth",
         [
           Alcotest.test_case "lifecycle" `Quick test_gt_lifecycle;
